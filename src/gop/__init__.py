@@ -70,7 +70,7 @@ from .local_analysis import (
     fuchs_test,
     indicial_polynomial,
 )
-from .modp import FpPoly, FpRatFn, reduce_ratfn_mod_p
+from .modp import reduce_ratfn_mod_p
 from .p_curvature import (
     FpMat,
     GlobalScan,
@@ -80,7 +80,6 @@ from .p_curvature import (
     katz_honda_check,
     operator_nilpotence_by_division,
     p_curvature,
-    reduce_system,
 )
 from .pade import (
     PadeSystem,

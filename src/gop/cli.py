@@ -36,7 +36,7 @@ from .diffop import (
     is_infinity,
 )
 from .errors import DomainError, MixedBasisError, ParseError, UsageError
-from .exact_arith import Fraction as _F, Poly, RatFn, poly_text, primes_upto, ratfn_text
+from .exact_arith import Poly, RatFn, is_prime, poly_text, primes_upto, ratfn_text
 from .growth import (
     ExactLog,
     GalochkinTrace,
@@ -378,6 +378,11 @@ def _parse_primes(text: str) -> list[int]:
     return [p for p in primes_upto(hi) if p >= lo]
 
 
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise UsageError(f"--prime must be a prime number, got {p}")
+
+
 def _resolve_operator(args) -> tuple[str, DiffOp]:
     if getattr(args, "catalog", None):
         entry = catalog_get(args.catalog)
@@ -439,6 +444,7 @@ def _cmd_pcurv(args) -> dict:
     # single-prime detail: BadPrime propagates (exit 2), unlike in scans
     from .p_curvature import is_nilpotent, operator_nilpotence_by_division, p_curvature
 
+    _check_prime(args.prime)
     label, op = _resolve_operator(args)
     g = companion(op)
     gp = p_curvature(g, args.prime)
@@ -458,10 +464,7 @@ def _cmd_scan(args) -> dict:
     if getattr(args, "catalog", None):
         entry = catalog_get(args.catalog)
         subject = entry.operator if entry.system is None else entry.system
-        if isinstance(subject, RatMat):
-            scan = global_scan(subject, primes, subject_id=entry.id)
-        else:
-            scan = global_scan(subject, primes, subject_id=entry.id)
+        scan = global_scan(subject, primes, subject_id=entry.id)
     else:
         label, op = _resolve_operator(args)
         scan = global_scan(op, primes, subject_id=label)
@@ -486,6 +489,7 @@ def _cmd_size(args) -> dict:
 
 
 def _cmd_radius(args) -> dict:
+    _check_prime(args.prime)
     label, g = _resolve_system(args)
     value = radius_estimate(g, args.prime, args.smax)
     return {

@@ -775,15 +775,6 @@ def falling_factorial_poly(j: int) -> Poly:
     return out
 
 
-@lru_cache(maxsize=None)
-def rising_factorial_poly(j: int) -> Poly:
-    """x (x+1) ... (x+j-1) as a polynomial in x."""
-    out = Poly.ONE
-    for k in range(j):
-        out = out * Poly([k, 1])
-    return out
-
-
 def pochhammer(x: Fraction, m: int) -> Fraction:
     """Rising factorial (x)_m."""
     out = Fraction(1)

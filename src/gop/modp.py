@@ -1,10 +1,15 @@
-"""Arithmetic in F_p[z] and F_p(z), reduction from Q(z), and a fast modular
-engine for denominator-cleared matrix sequences.
+"""Reduction from Q(z) to F_p[z], and the one modular engine for
+denominator-cleared polynomial sequences.
 
-FpPoly/FpRatFn mirror the characteristic-zero types with machine-int
-coefficients.  The reduction map follows the Gauss-valuation convention: a
-rational function reduces mod p iff its Gauss valuation is >= 0, after
-normalizing the denominator to unit content.
+Every computation in characteristic p (and modulo small prime powers) runs on
+integer polynomials with numpy coefficient rows, low degree first, reduced
+modulo m and trimmed of trailing zeros.  There is no F_p(z) arithmetic:
+denominators are cleared once in characteristic zero, so no gcd is ever taken
+modulo m.
+
+The reduction map follows the Gauss-valuation convention: a rational function
+reduces mod p iff its Gauss valuation is >= 0, after normalizing the
+denominator to unit content.
 """
 
 from __future__ import annotations
@@ -15,258 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadPrime
-from .exact_arith import Poly, RatFn, as_fraction, gauss_valuation, vp_int
-
-
-class FpPoly:
-    """Dense polynomial over Z/pZ (p prime)."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs: Sequence[int] = ()):
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("FpPoly is immutable")
-
-    @staticmethod
-    def const(p: int, c: int) -> "FpPoly":
-        return FpPoly(p, [c])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial")
-        return self.coeffs[-1]
-
-    def __getitem__(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FpPoly)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(("FpPoly", self.p, self.coeffs))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def _check(self, other: "FpPoly"):
-        if self.p != other.p:
-            raise ValueError("mixed characteristics")
-
-    def __add__(self, other: "FpPoly"):
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return FpPoly(self.p, out)
-
-    def __neg__(self):
-        return FpPoly(self.p, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return FpPoly(self.p, [c * other for c in self.coeffs])
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return FpPoly(self.p)
-        if len(self.coeffs) * len(other.coeffs) > 256:
-            prod = np.convolve(
-                np.array(self.coeffs, dtype=np.int64),
-                np.array(other.coeffs, dtype=np.int64),
-            )
-            return FpPoly(self.p, [int(c) for c in prod % self.p])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return FpPoly(self.p, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out, base = FpPoly.const(self.p, 1), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def divmod(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        p = self.p
-        rem = list(self.coeffs)
-        db = other.degree
-        if self.degree < db:
-            return FpPoly(p), self
-        inv_lb = pow(other.leading(), p - 2, p)
-        quo = [0] * (self.degree - db + 1)
-        for k in range(len(quo) - 1, -1, -1):
-            c = (rem[db + k] * inv_lb) % p
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[j + k] = (rem[j + k] - c * b) % p
-        return FpPoly(p, quo), FpPoly(p, rem[:db])
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def monic(self) -> "FpPoly":
-        if self.is_zero():
-            return self
-        inv = pow(self.leading(), self.p - 2, self.p)
-        return self * inv
-
-    def derivative(self) -> "FpPoly":
-        return FpPoly(self.p, [(i * c) % self.p for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, a: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * a + c) % self.p
-        return acc
-
-    def valuation_at_zero(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise AssertionError
-
-    def __repr__(self):
-        return f"FpPoly(p={self.p}, {list(self.coeffs)})"
-
-
-def fp_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-class FpRatFn:
-    """Element of F_p(z): num/den, den monic, gcd(num, den) = 1."""
-
-    __slots__ = ("p", "num", "den")
-
-    def __init__(self, num: FpPoly, den: FpPoly | None = None):
-        p = num.p
-        if den is None:
-            den = FpPoly.const(p, 1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = FpPoly.const(p, 1)
-        else:
-            g = fp_gcd(num, den)
-            if g.degree >= 1:
-                num, den = num // g, den // g
-            lc = den.leading()
-            if lc != 1:
-                inv = pow(lc, p - 2, p)
-                num, den = num * inv, den * inv
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FpRatFn is immutable")
-
-    @staticmethod
-    def const(p: int, c: int) -> "FpRatFn":
-        return FpRatFn(FpPoly.const(p, c))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FpRatFn)
-            and self.p == other.p
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash(("FpRatFn", self.p, self.num, self.den))
-
-    def __add__(self, other: "FpRatFn"):
-        return FpRatFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return FpRatFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return FpRatFn(self.num * other, self.den)
-        if self.is_zero() or other.is_zero():
-            return FpRatFn.const(self.p, 0)
-        g1 = fp_gcd(self.num, other.den)
-        g2 = fp_gcd(other.num, self.den)
-        return FpRatFn(
-            (self.num // g1) * (other.num // g2),
-            (self.den // g2) * (other.den // g1),
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "FpRatFn"):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero")
-        return self * FpRatFn(other.den, other.num)
-
-    def derivative(self) -> "FpRatFn":
-        return FpRatFn(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def has_pole_at_zero(self) -> bool:
-        return (not self.den.is_zero()) and self.den[0] == 0 and not self.num.is_zero()
-
-    def evaluate(self, a: int) -> int:
-        d = self.den.evaluate(a)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {a} mod {self.p}")
-        return (self.num.evaluate(a) * pow(d, self.p - 2, self.p)) % self.p
-
-    def __repr__(self):
-        return f"FpRatFn({list(self.num.coeffs)} / {list(self.den.coeffs)} mod {self.p})"
+from .exact_arith import Poly, RatFn, as_fraction, gauss_valuation, poly_gauss_valuation, vp_int
 
 
 # ---------------------------------------------------------------------------
@@ -282,36 +36,38 @@ def reduce_fraction_mod_p(q: Fraction, p: int) -> int:
     return (q.numerator * pow(q.denominator, p - 2, p)) % p
 
 
-def reduce_poly_mod_p(f: Poly, p: int) -> FpPoly:
-    return FpPoly(p, [reduce_fraction_mod_p(c, p) for c in f.coeffs])
+def reduce_poly_mod_p(f: Poly, p: int) -> list[int]:
+    """Coefficients of f mod p, low degree first, trailing zeros trimmed."""
+    out = [reduce_fraction_mod_p(c, p) for c in f.coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def reduce_ratfn_mod_p(f: RatFn, p: int) -> FpRatFn:
-    """Coefficient-wise reduction of a representative with p-integral
-    numerator and unit-content denominator.  BadPrime iff the Gauss valuation
-    of f is negative."""
+def reduce_ratfn_mod_p(f: RatFn, p: int) -> tuple[list[int], list[int]]:
+    """(num, den) coefficient lists mod p of the representative with
+    p-integral numerator and unit-content denominator; den is never zero.
+    BadPrime iff the Gauss valuation of f is negative."""
     if f.is_zero():
-        return FpRatFn.const(p, 0)
-    v = gauss_valuation(f, p)
-    if v < 0:
+        return [], [1]
+    if gauss_valuation(f, p) < 0:
         raise BadPrime(p, "negative Gauss valuation")
-    from .exact_arith import poly_gauss_valuation  # local to avoid cycle noise
-
     alpha = poly_gauss_valuation(f.den, p)
     scale = Fraction(1, p) ** alpha if alpha >= 0 else Fraction(p) ** (-alpha)
-    num = f.num * scale
-    den = f.den * scale
-    return FpRatFn(reduce_poly_mod_p(num, p), reduce_poly_mod_p(den, p))
+    return reduce_poly_mod_p(f.num * scale, p), reduce_poly_mod_p(f.den * scale, p)
 
 
 # ---------------------------------------------------------------------------
-# modular engine for denominator-cleared sequences
+# numpy polynomials mod m
 #
-# For a system y' = G y with T G polynomial and H_s := T^s G_s, the sequence
-# satisfies H_{s+1} = H_s (TG) + T H_s' - s T' H_s with purely polynomial
-# arithmetic.  Reducing the recurrence modulo an integer m (a prime, or a
-# small prime power for valuation thresholds) keeps every coefficient a
-# machine integer; products go through numpy convolutions.
+# Coefficients are int64 in [0, m).  A product of two of them, or a sum of
+# k such products in a convolution, can pass 2^63 once m is large (the
+# valuation bound in growth works mod p^3); those products are taken with
+# Python ints (object dtype) and reduced before going back to int64.
+
+_INT64_BOUND = 2**63
+_MAX_MODULUS = 2**62  # a sum of two residues must still fit in int64
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 def _np_poly(coeffs: Sequence[int], m: int) -> np.ndarray:
@@ -321,12 +77,18 @@ def _np_poly(coeffs: Sequence[int], m: int) -> np.ndarray:
 
 def _np_trim(a: np.ndarray) -> np.ndarray:
     nz = np.nonzero(a)[0]
-    return a[: nz[-1] + 1] if nz.size else np.zeros(0, dtype=np.int64)
+    return a[: nz[-1] + 1] if nz.size else _EMPTY
+
+
+def _np_reduce(a: np.ndarray, m: int) -> np.ndarray:
+    return _np_trim((a % m).astype(np.int64))
 
 
 def _np_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     if a.size == 0 or b.size == 0:
-        return np.zeros(0, dtype=np.int64)
+        return _EMPTY
+    if min(a.size, b.size) * (m - 1) ** 2 >= _INT64_BOUND:
+        return _np_reduce(np.convolve(a.astype(object), b.astype(object)), m)
     return _np_trim(np.convolve(a, b) % m)
 
 
@@ -339,45 +101,113 @@ def _np_add(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 
 
 def _np_scale(a: np.ndarray, c: int, m: int) -> np.ndarray:
-    return _np_trim((a * (c % m)) % m)
+    c %= m
+    if (m - 1) * c >= _INT64_BOUND:
+        return _np_reduce(a.astype(object) * c, m)
+    return _np_trim((a * c) % m)
 
 
 def _np_deriv(a: np.ndarray, m: int) -> np.ndarray:
     if a.size <= 1:
-        return np.zeros(0, dtype=np.int64)
-    return _np_trim((a[1:] * np.arange(1, a.size, dtype=np.int64)) % m)
+        return _EMPTY
+    k = np.arange(1, a.size, dtype=np.int64)
+    if (m - 1) * (a.size - 1) >= _INT64_BOUND:
+        return _np_reduce(a[1:].astype(object) * k.astype(object), m)
+    return _np_trim((a[1:] * k) % m)
+
+
+def _row_times(row, mat, m: int) -> list[np.ndarray]:
+    """Row vector times square matrix of numpy polynomials mod m."""
+    out = []
+    for j in range(len(mat)):
+        acc = _EMPTY
+        for k, a in enumerate(row):
+            if a.size:
+                acc = _np_add(acc, _np_mul(a, mat[k][j], m), m)
+        out.append(acc)
+    return out
+
+
+class FpMat:
+    """Square matrix over F_p[z]: ``rows`` holds trimmed int64 coefficient
+    arrays in [0, prime), low degree first."""
+
+    def __init__(self, prime: int, rows):
+        self.prime = prime
+        self.rows = rows
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def is_zero(self) -> bool:
+        return all(c.size == 0 for row in self.rows for c in row)
+
+    def __mul__(self, other: "FpMat") -> "FpMat":
+        return FpMat(self.prime, [_row_times(row, other.rows, self.prime) for row in self.rows])
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, FpMat)
+            and self.prime == other.prime
+            and len(self.rows) == len(other.rows)
+            and all(
+                len(ra) == len(rb) and all(np.array_equal(a, b) for a, b in zip(ra, rb))
+                for ra, rb in zip(self.rows, other.rows)
+            )
+        )
+
+    def __repr__(self):
+        return f"FpMat(prime={self.prime}, {[[c.tolist() for c in row] for row in self.rows]})"
+
+
+# ---------------------------------------------------------------------------
+# the cleared sequence
+#
+# For a system y' = G y with T G polynomial and H_s := T^s G_s, the sequence
+# satisfies H_{s+1} = H_s (TG) + T H_s' - s T' H_s with purely polynomial
+# arithmetic.  Any block of rows of H obeys the same recurrence, so a caller
+# may start from rows of its own at any index (the division test starts from
+# the row e_0 of H_0 = identity).
 
 
 class ClearedSequenceMod:
-    """Iterator over H_s mod m for a cleared system (T, TG).
+    """Iterator over rows of H_s mod m for a cleared system (T, TG).
 
-    ``t_coeffs`` and ``tg`` hold integer coefficient lists; entries of ``tg``
-    index [row][col].  ``current`` is H_s for the last yielded s.
+    ``t_coeffs`` and the entries of ``tg`` (indexed [row][col]) and ``start``
+    are integer coefficient lists.  ``start`` is the block of rows at index
+    ``s``; by default the whole of H_1 = TG.  ``current`` is the block at
+    index ``self.s``.
     """
 
-    def __init__(self, t_coeffs: Sequence[int], tg: Sequence[Sequence[Sequence[int]]], m: int):
+    def __init__(
+        self,
+        t_coeffs: Sequence[int],
+        tg: Sequence[Sequence[Sequence[int]]],
+        m: int,
+        start: Sequence[Sequence[Sequence[int]]] | None = None,
+        s: int = 1,
+    ):
+        if not 2 <= m <= _MAX_MODULUS:
+            raise ValueError(f"modulus must lie in [2, 2^62], got {m}")
         self.m = m
         self.t = _np_poly(t_coeffs, m)
         self.dt = _np_deriv(self.t, m)
-        self.n = len(tg)
         self.tg = [[_np_poly(c, m) for c in row] for row in tg]
-        self.s = 1
-        self.current = [[c.copy() for c in row] for row in self.tg]
+        self.s = s
+        rows = tg if start is None else start
+        self.current = [[_np_poly(c, m) for c in row] for row in rows]
 
     def advance(self):
         """Step from H_s to H_{s+1}."""
-        m, n = self.m, self.n
-        h, tg = self.current, self.tg
+        m = self.m
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = np.zeros(0, dtype=np.int64)
-                for k in range(n):
-                    acc = _np_add(acc, _np_mul(h[i][k], tg[k][j], m), m)
-                acc = _np_add(acc, _np_mul(self.t, _np_deriv(h[i][j], m), m), m)
-                acc = _np_add(acc, _np_scale(_np_mul(self.dt, h[i][j], m), -self.s, m), m)
-                row.append(acc)
+        for h in self.current:
+            row = _row_times(h, self.tg, m)
+            for j, c in enumerate(h):
+                if c.size:
+                    acc = _np_add(row[j], _np_mul(self.t, _np_deriv(c, m), m), m)
+                    row[j] = _np_add(acc, _np_scale(_np_mul(self.dt, c, m), -self.s, m), m)
             out.append(row)
         self.current = out
         self.s += 1
@@ -391,30 +221,3 @@ class ClearedSequenceMod:
 
     def is_zero(self) -> bool:
         return all(c.size == 0 for row in self.current for c in row)
-
-    def to_fp_polys(self) -> list[list[FpPoly]]:
-        return [[FpPoly(self.m, [int(x) for x in c]) for c in row] for row in self.current]
-
-
-def FpMat_entries_check(a, b) -> bool:
-    """Equality of two numpy-coefficient polynomial matrices."""
-    for row_a, row_b in zip(a, b):
-        for ca, cb in zip(row_a, row_b):
-            if ca.size != cb.size or not np.array_equal(ca, cb):
-                return False
-    return True
-
-
-def polymat_mul_mod(a, b, m: int):
-    """Product of two square numpy-coefficient polynomial matrices mod m."""
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = np.zeros(0, dtype=np.int64)
-            for k in range(n):
-                acc = _np_add(acc, _np_mul(a[i][k], b[k][j], m), m)
-            row.append(acc)
-        out.append(row)
-    return out

@@ -1,74 +1,26 @@
-"""p-curvature matrices, nilpotence tests, and the global prime scan.
+"""p-curvature, nilpotence tests, and the global prime scan.
 
-The p-curvature of y' = Gy at a good prime is G_p, the p-th derived matrix
-of the reduced system, computed entirely in characteristic p through the
-cleared polynomial recurrence.  Nilpotence has two independent routes: the
-matrix power test (G_p)^n = 0 and right division of D^(pn) by the reduced
-operator; the scan records both when an operator is available.
+Everything in characteristic p runs on one engine, ``modp.ClearedSequenceMod``,
+over integer polynomials whose denominators were cleared in characteristic
+zero.  At a good prime the p-curvature of y' = Gy is read off the cleared
+matrix H_p = T^p G_p mod p; T is nonzero mod p there, so H_p and G_p share
+the nilpotence verdict and index.  Nilpotence has two routes: the matrix
+power test (H_p)^n = 0, and right division of D^(pn) by L mod p, run as the
+row e_0 of the same recurrence for the cleared operator.  The scan records
+whether the two agree when an operator is available.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .diffop import Basis, DiffOp, RatMat, change_basis, companion, monic_theta_coefficients
+from .diffop import DiffOp, RatMat, cleared_polynomial_coeffs, companion, monic_theta_coefficients
 from .errors import BadPrime, IrregularPoint
 from .exact_arith import gauss_valuation
 from .growth import cleared_system
-from .modp import (
-    ClearedSequenceMod,
-    FpMat_entries_check,
-    FpPoly,
-    FpRatFn,
-    polymat_mul_mod,
-    reduce_ratfn_mod_p,
-)
-
-
-@dataclass(frozen=True)
-class FpMat:
-    """Square matrix over F_p(z)."""
-
-    prime: int
-    entries: tuple[tuple[FpRatFn, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __mul__(self, other: "FpMat") -> "FpMat":
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = FpRatFn.const(self.prime, 0)
-                for k in range(n):
-                    a, b = self.entries[i][k], other.entries[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return FpMat(self.prime, tuple(rows))
-
-
-def reduce_system(g: RatMat, p: int) -> FpMat:
-    """Entrywise reduction mod p; BadPrime when any entry has negative Gauss
-    valuation."""
-    rows = []
-    for row in g.entries:
-        rows.append(tuple(reduce_ratfn_mod_p(e, p) for e in row))
-    return FpMat(p, tuple(rows))
+from .modp import ClearedSequenceMod, FpMat, reduce_ratfn_mod_p
 
 
 def _check_reducible(g: RatMat, p: int):
@@ -79,22 +31,13 @@ def _check_reducible(g: RatMat, p: int):
 
 
 def p_curvature(g: RatMat, p: int) -> FpMat:
-    """G_p of the reduced system, iterated in characteristic p.
+    """H_p = T^p G_p mod p for the cleared system (T, TG) of G.
 
-    Uses the cleared representation H_s = T^s G_s mod p (T has unit content,
-    so it stays nonzero mod p) and divides by T^p at the end."""
+    T is nonzero mod p once every entry of G reduces, so (H_p)^k = T^(pk)
+    G_p^k vanishes exactly when G_p^k does."""
     _check_reducible(g, p)
     sys = cleared_system(g)
-    seq = ClearedSequenceMod(sys.t, sys.tg, p)
-    hbar = seq.goto(p)
-    tbar = FpPoly(p, sys.t)
-    tpow = tbar**p
-    rows = []
-    for row in hbar:
-        rows.append(
-            tuple(FpRatFn(FpPoly(p, [int(c) for c in poly]), tpow) for poly in row)
-        )
-    return FpMat(p, tuple(rows))
+    return FpMat(p, ClearedSequenceMod(sys.t, sys.tg, p).goto(p))
 
 
 def is_nilpotent(m: FpMat) -> tuple[bool, Optional[int]]:
@@ -112,28 +55,48 @@ def is_nilpotent(m: FpMat) -> tuple[bool, Optional[int]]:
 def operator_nilpotence_by_division(l: DiffOp, p: int) -> bool:
     """True iff D^(p*ord L) is right-divisible by the reduction of L mod p.
 
-    Maintains the reduction vector of D^k modulo L_p, stepping k -> k+1 by
-    one symbolic derivative plus the top-degree elimination."""
-    ld = change_basis(l, Basis.D).monic()
-    n = ld.order
+    With L cleared to the primitive integer vector c_0..c_n, the remainder
+    R_k of c_n^k D^k modulo L steps as
+
+        R_{k+1} = c_n shift(R_k) + c_n R_k' - k c_n' R_k - top(R_k) (c_0..c_{n-1}),
+
+    which is the cleared recurrence for T = c_n, TG = c_n * companion(L),
+    started from the row e_0 at k = 0.  Since c_n is nonzero mod p, L divides
+    D^(pn) iff R_{pn} = 0 mod p."""
+    polys = cleared_polynomial_coeffs(l)
+    n = len(polys) - 1
     if n < 1:
         raise ValueError("order must be >= 1")
-    for c in ld.coeffs:
-        if not c.is_zero() and gauss_valuation(c, p) < 0:
-            raise BadPrime(p, "operator coefficient with negative Gauss valuation")
-    a = [reduce_ratfn_mod_p(ld.coeff(i), p) for i in range(n)]
-    r = [FpRatFn.const(p, 1 if i == 0 else 0) for i in range(n)]
-    one = FpRatFn.const(p, 1)
-    for _ in range(p * n):
-        top = r[n - 1]
-        new = [r[i - 1] if i else FpRatFn.const(p, 0) for i in range(n)]
-        new = [new[i] + r[i].derivative() for i in range(n)]
-        if not top.is_zero():
-            for i in range(n):
-                if not a[i].is_zero():
-                    new[i] = new[i] - top * a[i]
-        r = new
-    return all(c.is_zero() for c in r)
+    scale = math.lcm(*(x.denominator for q in polys for x in q.coeffs))
+    ints = [[int(x * scale) for x in q.coeffs] for q in polys]
+    content = math.gcd(*(x for q in ints for x in q))
+    c = [[x // content for x in q] for q in ints]
+    # by Gauss's lemma some monic coefficient c_i/c_n has negative Gauss
+    # valuation exactly when p divides c_n
+    if all(x % p == 0 for x in c[n]):
+        raise BadPrime(p, "operator coefficient with negative Gauss valuation")
+    tg = [[[] for _ in range(n)] for _ in range(n)]
+    for i in range(n - 1):
+        tg[i][i + 1] = c[n]
+    tg[n - 1] = [[-x for x in ci] for ci in c[:n]]
+    start = [[[1]] + [[] for _ in range(n - 1)]]
+    seq = ClearedSequenceMod(c[n], tg, p, start=start, s=0)
+    seq.goto(p * n)
+    return seq.is_zero()
+
+
+def _divide_root(f: list[int], a: int, p: int) -> tuple[list[int], int]:
+    """Synthetic division of f (low degree first) by z - a mod p."""
+    acc, out = 0, []
+    for coeff in reversed(f):
+        acc = (acc * a + coeff) % p
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
+
+
+def _order_at_zero(f: list[int]):
+    return next((i for i, c in enumerate(f) if c), math.inf)
 
 
 def katz_honda_check(l: DiffOp, p: int) -> bool:
@@ -141,39 +104,22 @@ def katz_honda_check(l: DiffOp, p: int) -> bool:
 
     Necessary for nilpotence when 0 is regular singular for the reduction;
     raises IrregularPoint when the reduced theta coefficients have a pole."""
-    coeffs = monic_theta_coefficients(l)
-    n = len(coeffs)
-    reduced = [reduce_ratfn_mod_p(c, p) for c in coeffs]
-    if any(c.has_pole_at_zero() for c in reduced):
+    reduced = [reduce_ratfn_mod_p(c, p) for c in monic_theta_coefficients(l)]
+    n = len(reduced)
+    orders = [(_order_at_zero(num), _order_at_zero(den)) for num, den in reduced]
+    if any(num < den for num, den in orders):
         raise IrregularPoint("0 is not regular singular for the reduction")
-    phi = [0] * (n + 1)
-    phi[n] = 1
-    for j, c in enumerate(reduced, start=1):
-        phi[n - j] = 0 if c.is_zero() else c.evaluate(0)
-    poly = FpPoly(p, phi)
+    phi = [0] * n + [1]
+    for j, ((num, den), (_, k)) in enumerate(zip(reduced, orders), start=1):
+        if k < len(num):  # the value at 0 is 0 when num vanishes to higher order
+            phi[n - j] = num[k] * pow(den[k], -1, p) % p
     for a in range(p):
-        lin = FpPoly(p, [-a, 1])
-        while not poly.is_zero() and poly.evaluate(a) == 0:
-            poly = poly // lin
-    return poly.degree == 0
-
-
-def derived_sequence_mod(g: RatMat, p: int, s_max: int) -> list[FpMat]:
-    """[(G mod p)_1, ..., (G mod p)_s_max] computed natively mod p."""
-    _check_reducible(g, p)
-    sys = cleared_system(g)
-    seq = ClearedSequenceMod(sys.t, sys.tg, p)
-    tbar = FpPoly(p, sys.t)
-    out = []
-    for s in range(1, s_max + 1):
-        hbar = seq.goto(s)
-        tpow = tbar**s
-        rows = tuple(
-            tuple(FpRatFn(FpPoly(p, [int(c) for c in poly]), tpow) for poly in row)
-            for row in hbar
-        )
-        out.append(FpMat(p, rows))
-    return out
+        while len(phi) > 1:
+            quo, rem = _divide_root(phi, a, p)
+            if rem:
+                break
+            phi = quo
+    return len(phi) == 1
 
 
 def relation_gp_power_holds(g: RatMat, p: int, k_max: int) -> bool:
@@ -182,12 +128,11 @@ def relation_gp_power_holds(g: RatMat, p: int, k_max: int) -> bool:
     _check_reducible(g, p)
     sys = cleared_system(g)
     seq = ClearedSequenceMod(sys.t, sys.tg, p)
-    hp = [[c.copy() for c in row] for row in seq.goto(p)]
+    hp = FpMat(p, seq.goto(p))
     power = hp
     for k in range(2, k_max + 1):
-        power = polymat_mul_mod(power, hp, p)
-        hpk = seq.goto(p * k)
-        if not FpMat_entries_check(power, hpk):
+        power = power * hp
+        if power != FpMat(p, seq.goto(p * k)):
             return False
     return True
 
@@ -211,13 +156,6 @@ class GlobalScan:
     primes: tuple[int, ...]
     reports: tuple[PCurvatureReport, ...]
     verdict: str  # "AllGoodNilpotent" | "FoundNonNilpotent" | "Mixed" | "NoGoodPrime"
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("GOP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def prime_report(g: RatMat, p: int, operator: Optional[DiffOp] = None) -> PCurvatureReport:
@@ -248,12 +186,7 @@ def global_scan(subject, primes: Sequence[int], subject_id: str = "") -> GlobalS
     else:
         operator, g = None, subject
     primes = tuple(sorted(primes))
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda p: prime_report(g, p, operator), primes))
-    else:
-        reports = [prime_report(g, p, operator) for p in primes]
+    reports = [prime_report(g, p, operator) for p in primes]
     good = [r for r in reports if r.status != "BadPrime"]
     if not good:
         verdict = "NoGoodPrime"

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 from jsonschema import validate
 
+import gop
 from gop.catalog import CATALOG, hypergeom_operator
 from gop.cli import main, operator_text, parse_operator, run_command
 from gop.diffop import Basis, DiffOp
@@ -147,13 +150,26 @@ def test_json_format_default(capsys):
     assert parsed["command"] == "catalog"
 
 
-def test_threaded_scan_deterministic():
-    code, plain = run_command(["scan", "--catalog", "polylog:1", "--primes", "2..30"])
-    os.environ["GOP_THREADS"] = "4"
-    try:
-        code2, threaded = run_command(["scan", "--catalog", "polylog:1", "--primes", "2..30"])
-    finally:
-        del os.environ["GOP_THREADS"]
-    plain["timing_ms"] = threaded["timing_ms"] = 0
-    assert code == code2 == 0
-    assert plain == threaded
+def test_prime_validated_at_boundary():
+    # non-primes must be rejected before any arithmetic: vp_int(n, 1) never
+    # ends, and mod 4 there are zero divisors; one child runs every case and
+    # is killed if it hangs
+    cases = [[cmd, "--catalog", "polylog:2", "--prime", str(p)] + extra
+             for p in (0, 1, 4, -3)
+             for cmd, extra in (("pcurv", []), ("radius", ["--smax", "8"]))]
+    script = (
+        "import json, sys, time\n"
+        "from gop.cli import run_command\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    t = time.perf_counter()\n"
+        "    code, env = run_command(argv)\n"
+        "    print(json.dumps([code, 'error' in env, time.perf_counter() - t]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gop.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(cases)],
+                         capture_output=True, text=True, timeout=60, env=env, check=True)
+    results = [json.loads(line) for line in out.stdout.splitlines()]
+    assert len(results) == len(cases)
+    for argv, (code, has_error, seconds) in zip(cases, results):
+        assert code == 1 and has_error, argv
+        assert seconds < 5, argv

@@ -18,6 +18,7 @@ from gop.exact_arith import (
 from gop.growth import (
     ExactLog,
     bombieri_report,
+    cleared_system,
     dwork_robba_check,
     exact_log_of_integer,
     galochkin_trace,
@@ -27,6 +28,7 @@ from gop.growth import (
     radius_estimate,
     size_estimate,
 )
+from gop.modp import ClearedSequenceMod
 from gop.p_curvature import is_nilpotent, p_curvature
 from gop.errors import BadPrime
 
@@ -171,6 +173,20 @@ def test_nilpotence_valuation_bound():
                 continue
             if nil:
                 assert nilpotence_valuation_bound(g, p, 3), (label, p)
+
+
+def test_modular_engine_matches_integers_at_large_modulus():
+    # products of residues mod 2^61 - 1 pass 2^63, where int64 arithmetic
+    # wraps (72 coefficients of this H_24 would come out wrong)
+    m = 2**61 - 1
+    sys = cleared_system(LI2_SYS)
+    native = ClearedSequenceMod(sys.t, sys.tg, m).goto(24)
+    for row_native, row_exact in zip(native, sys.h(24)):
+        for a, b in zip(row_native, row_exact):
+            want = [c % m for c in b]
+            while want and want[-1] == 0:
+                want.pop()
+            assert a.tolist() == want
 
 
 def test_exactlog_arithmetic():

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gop.catalog import (
+    CATALOG,
     catalog_get,
     catalog_systems,
     counterexample_theta2_minus_2,
@@ -16,37 +18,29 @@ from gop.cli import parse_operator
 from gop.diffop import RatMat, companion, gs_sequence
 from gop.errors import BadPrime, IrregularPoint
 from gop.exact_arith import Poly, RatFn, primes_upto
-from gop.modp import FpPoly, FpRatFn, reduce_ratfn_mod_p
+from gop.growth import cleared_system, minimal_T
+from gop.modp import ClearedSequenceMod, reduce_poly_mod_p, reduce_ratfn_mod_p
 from gop.p_curvature import (
     FpMat,
-    derived_sequence_mod,
     global_scan,
     is_nilpotent,
     katz_honda_check,
     operator_nilpotence_by_division,
     p_curvature,
-    reduce_system,
     relation_gp_power_holds,
 )
 
 
 def test_reduce_ratfn_examples():
     f = RatFn(Poly([2, 1]), Poly([-1, 1]))  # (z+2)/(z-1)
-    r = reduce_ratfn_mod_p(f, 5)
-    assert r.num == FpPoly(5, [2, 1]) and r.den == FpPoly(5, [4, 1])
+    assert reduce_ratfn_mod_p(f, 5) == ([2, 1], [4, 1])
     with pytest.raises(BadPrime):
         reduce_ratfn_mod_p(RatFn(Poly.ONE, Poly([0, 2])), 2)  # 1/(2z)
     g = RatFn(Poly([3]), Poly([6, 1]))  # 3/(z+6) at p=3: content 3 up, unit den
-    assert reduce_ratfn_mod_p(g, 3).is_zero()
-
-
-def test_reduce_system_examples():
-    li1comp = RatMat([[0, 1], [0, RatFn(Poly.ONE, Poly([1, -1]))]])
-    m = reduce_system(li1comp, 5)
-    assert m.prime == 5 and not m.is_zero()
-    with pytest.raises(BadPrime):
-        reduce_system(RatMat([[RatFn(Poly.ONE, Poly([0, 2]))]]), 2)
-    assert reduce_system(RatMat([[0, 0], [0, 0]]), 7).is_zero()
+    assert reduce_ratfn_mod_p(g, 3) == ([], [0, 1])
+    h = RatFn(Poly([1]), Poly([Fraction(1, 2), 1]))  # 1/(z+1/2) = 2/(2z+1) at p=2
+    assert reduce_ratfn_mod_p(h, 2) == ([], [1])
+    assert reduce_ratfn_mod_p(RatFn.ZERO, 7) == ([], [1])
 
 
 def test_p_curvature_examples():
@@ -63,12 +57,15 @@ def test_p_curvature_examples():
 
 def test_is_nilpotent_examples():
     p = 7
-    one = FpRatFn.const(p, 1)
-    zero = FpRatFn.const(p, 0)
-    upper = FpMat(p, ((zero, one), (zero, zero)))
+    one = np.array([1], dtype=np.int64)
+    zero = np.zeros(0, dtype=np.int64)
+    upper = FpMat(p, [[zero, one], [zero, zero]])
     assert is_nilpotent(upper) == (True, 2)
-    ident = FpMat(p, ((one, zero), (zero, one)))
+    ident = FpMat(p, [[one, zero], [zero, one]])
     assert is_nilpotent(ident) == (False, None)
+    # a polynomial corner entry: still index 2 over F_7[z]
+    z = np.array([0, 1], dtype=np.int64)
+    assert is_nilpotent(FpMat(p, [[zero, z], [zero, zero]])) == (True, 2)
     li2gp = p_curvature(companion(polylog_operator(2)), 5)
     nil, idx = is_nilpotent(li2gp)
     assert nil and idx <= 3
@@ -133,24 +130,29 @@ def test_relation_gp_all_catalog_systems():
 
 
 def test_reduction_commutes_with_recurrence():
-    # (G mod p)_s = G_s mod p for s <= 20, char-0 route vs native mod-p route
+    # H_s mod p = (T^s G_s) mod p for s <= 20: the native mod-p engine against
+    # G_s from the characteristic-zero route, cleared by T^s there
     for label, g in [("polylog:1:vector", polylog_system(1)),
                      ("li1comp", companion(polylog_operator(1)))]:
         char0 = gs_sequence(g, 20)
+        sys = cleared_system(g)
+        t = minimal_T(g)
         for p in (3, 7):
-            native = derived_sequence_mod(g, p, 20)
+            seq = ClearedSequenceMod(sys.t, sys.tg, p)
             for s in range(1, 21):
-                reduced = reduce_system(char0[s - 1], p)
-                assert reduced.entries == native[s - 1].entries, (label, p, s)
+                native = [[c.tolist() for c in row] for row in seq.goto(s)]
+                reduced = [
+                    [reduce_poly_mod_p((t**s * e.num).exact_div(e.den), p) for e in row]
+                    for row in char0[s - 1].entries
+                ]
+                assert native == reduced, (label, p, s)
 
 
 def test_matrix_and_division_agree_catalog():
-    # smaller version of the acceptance criterion
-    ids = ["polylog:1", "theta2m2", "d-minus-1"]
-    for entry_id in ids:
+    for entry_id in CATALOG:
         op = catalog_get(entry_id).operator
         g = companion(op)
-        for p in (2, 3, 5, 7):
+        for p in primes_upto(50):
             try:
                 mat = is_nilpotent(p_curvature(g, p))[0]
                 div = operator_nilpotence_by_division(op, p)
