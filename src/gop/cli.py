@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .catalog import CATALOG, catalog_get, catalog_ids
+from .catalog import CATALOG, CatalogEntry, catalog_get, catalog_ids
 from .diffop import (
     Basis,
     DiffOp,
@@ -36,7 +36,15 @@ from .diffop import (
     is_infinity,
 )
 from .errors import DomainError, MixedBasisError, ParseError, UsageError
-from .exact_arith import Poly, RatFn, is_prime, poly_text, primes_upto, ratfn_text
+from .exact_arith import (
+    PRIME_CHECK_BOUND,
+    Poly,
+    RatFn,
+    is_prime,
+    poly_text,
+    primes_upto,
+    ratfn_text,
+)
 from .growth import (
     ExactLog,
     GalochkinTrace,
@@ -365,7 +373,7 @@ def _parse_point(text: str):
         return INFINITY
     try:
         return Fraction(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad point {text!r}") from exc
 
 
@@ -379,13 +387,32 @@ def _parse_primes(text: str) -> list[int]:
 
 
 def _check_prime(p: int) -> None:
+    if p >= PRIME_CHECK_BOUND:
+        raise UsageError(f"--prime must be below {PRIME_CHECK_BOUND}, got {p}")
     if not is_prime(p):
         raise UsageError(f"--prime must be a prime number, got {p}")
 
 
+def _check_at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise UsageError(f"{name} must be >= {least}, got {value}")
+
+
+def _catalog_entry(entry_id: Optional[str]) -> CatalogEntry:
+    if not entry_id:
+        raise UsageError("need a catalog id")
+    try:
+        return catalog_get(entry_id)
+    except KeyError as exc:
+        known = ", ".join(catalog_ids() + ["polylog:<s>"])
+        raise UsageError(f"unknown catalog id {entry_id!r}; known: {known}") from exc
+    except ValueError as exc:
+        raise UsageError(f"bad catalog id {entry_id!r}: {exc}") from exc
+
+
 def _resolve_operator(args) -> tuple[str, DiffOp]:
     if getattr(args, "catalog", None):
-        entry = catalog_get(args.catalog)
+        entry = _catalog_entry(args.catalog)
         return entry.id, entry.operator
     if getattr(args, "expr", None):
         op = parse_operator(args.expr)
@@ -397,7 +424,7 @@ def _resolve_operator(args) -> tuple[str, DiffOp]:
 
 def _resolve_system(args) -> tuple[str, RatMat]:
     if getattr(args, "catalog", None):
-        entry = catalog_get(args.catalog)
+        entry = _catalog_entry(args.catalog)
         if entry.system is not None:
             return entry.id, entry.system
         return entry.id, companion(entry.operator)
@@ -462,7 +489,7 @@ def _cmd_pcurv(args) -> dict:
 def _cmd_scan(args) -> dict:
     primes = _parse_primes(args.primes)
     if getattr(args, "catalog", None):
-        entry = catalog_get(args.catalog)
+        entry = _catalog_entry(args.catalog)
         subject = entry.operator if entry.system is None else entry.system
         scan = global_scan(subject, primes, subject_id=entry.id)
     else:
@@ -472,12 +499,14 @@ def _cmd_scan(args) -> dict:
 
 
 def _cmd_galochkin(args) -> dict:
+    _check_at_least("--smax", args.smax, 1)
     label, g = _resolve_system(args)
     trace = galochkin_trace(g, args.smax)
     return {"input": label} | trace_json(trace)
 
 
 def _cmd_size(args) -> dict:
+    _check_at_least("--s", args.s, 1)
     label, g = _resolve_system(args)
     value = size_estimate(g, args.s, args.prime_bound)
     return {
@@ -491,6 +520,8 @@ def _cmd_size(args) -> dict:
 def _cmd_radius(args) -> dict:
     _check_prime(args.prime)
     label, g = _resolve_system(args)
+    # the Hadamard window starts at the system order
+    _check_at_least("--smax", args.smax, g.n)
     value = radius_estimate(g, args.prime, args.smax)
     return {
         "input": label,
@@ -501,6 +532,7 @@ def _cmd_radius(args) -> dict:
 
 
 def _cmd_bombieri(args) -> dict:
+    _check_at_least("--s", args.s, 1)
     label, g = _resolve_system(args)
     rep = bombieri_report(g, args.s, args.prime_bound, slack=args.slack)
     return {"input": label} | bombieri_json(rep)
@@ -520,7 +552,7 @@ def _cmd_pade(args) -> dict:
             "residual_order": res,
             "siegel": _siegel_json(siegel_bound_report(f, args.N, args.M)),
         }
-    entry = catalog_get(args.catalog) if args.catalog else None
+    entry = _catalog_entry(args.catalog) if args.catalog else None
     if entry is None or entry.system is None:
         raise UsageError("pade needs --series FILE or a --catalog entry with a system")
     order = args.N + args.M + 8
@@ -566,7 +598,7 @@ def _cmd_catalog(args) -> dict:
                 for e in CATALOG.values()
             ]
         }
-    entry = catalog_get(args.id)
+    entry = _catalog_entry(args.id)
     return {
         "id": entry.id,
         "description": entry.description,

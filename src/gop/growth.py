@@ -7,14 +7,17 @@ which satisfies the polynomial recurrence
 
 stays integer once T is normalized integer-primitive, and shares Gauss
 valuations with G_s (v(G_s) = v(H_s) because T has unit content at every
-prime).  Logarithmic quantities are carried as exact {prime: exponent}
-combinations for as long as possible; floats appear only in reports.
+prime).  Every p-adic quantity reads the integer content c_m = gcd of the
+coefficients of H_m, once per m for all primes: min v_p(H_m) = v_p(c_m), and
+lcm over coefficients c of m!/gcd(m!, c) equals m!/gcd(m!, c_m).
+Logarithmic quantities are carried as exact {prime: exponent} combinations
+for as long as possible; floats appear only in reports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diffop import RatMat, common_denominator_poly
@@ -48,18 +51,32 @@ def minimal_T(g: RatMat) -> Poly:
 
 @dataclass
 class _IntSystem:
-    """Integer cleared form of a system plus the growing H_s list."""
+    """Integer cleared form of a system plus the growing H_s list and the
+    contents of its members."""
 
     n: int
     t: list[int]
     dt: list[int]
     tg: list[list[list[int]]]
     hs: list  # hs[s-1] = H_s as int coefficient lists
+    contents: list[int] = field(default_factory=list)  # gcd of H_s's coefficients
 
     def h(self, s: int):
         while len(self.hs) < s:
             self._advance()
         return self.hs[s - 1]
+
+    def content(self, s: int) -> int:
+        """gcd of every coefficient of H_s; 0 when H_s vanishes."""
+        while len(self.contents) < s:
+            h = self.h(len(self.contents) + 1)
+            self.contents.append(math.gcd(*(c for row in h for poly in row for c in poly)))
+        return self.contents[s - 1]
+
+    def vp(self, s: int, p: int):
+        """min v_p over the coefficients of H_s; GAUSS_INF when H_s vanishes."""
+        c = self.content(s)
+        return vp_int(c, p) if c else GAUSS_INF
 
     def _advance(self):
         s = len(self.hs)
@@ -97,6 +114,9 @@ def _ipoly_add(a, b):
 def _ipoly_mul(a, b):
     if not a or not b:
         return []
+    if len(a) > len(b):
+        # the shorter operand (TG, T, T') outside, H_s in the inner loop
+        a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -135,22 +155,6 @@ def cleared_system(g: RatMat) -> _IntSystem:
         )
         _SYSTEMS[g] = sys
     return sys
-
-
-def _min_vp(h, p: int):
-    """Minimum p-adic valuation over all coefficients of an integer matrix of
-    polynomials; GAUSS_INF when the matrix vanishes."""
-    best = None
-    for row in h:
-        for poly in row:
-            for c in poly:
-                if c:
-                    v = vp_int(c, p)
-                    if best is None or v < best:
-                        best = v
-                        if best == 0:
-                            return 0
-    return GAUSS_INF if best is None else best
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +256,7 @@ def galochkin_trace(g: RatMat, s_max: int) -> GalochkinTrace:
     fact = 1
     for m in range(1, s_max + 1):
         fact *= m
-        for row in sys.h(m):
-            for poly in row:
-                for c in poly:
-                    if c:
-                        q = math.lcm(q, fact // math.gcd(fact, abs(c)))
+        q = math.lcm(q, fact // math.gcd(fact, sys.content(m)))
         qs.append(q)
         logs.append(math.log(q) / m if q > 1 else 0.0)
     return GalochkinTrace(
@@ -274,7 +274,7 @@ def h_s_p(g: RatMat, s: int, p: int) -> ExactLog:
     sys = cleared_system(g)
     e = 0
     for m in range(1, s + 1):
-        mv = _min_vp(sys.h(m), p)
+        mv = sys.vp(m, p)
         if is_infinite(mv):
             continue
         e = max(e, kummer_vp_factorial(m, p) - mv)
@@ -311,7 +311,7 @@ def radius_estimate(
         raise ValueError("window is empty")
     best = Fraction(0)
     for s in range(lo, s_max + 1):
-        mv = _min_vp(sys.h(s), p)
+        mv = sys.vp(s, p)
         if is_infinite(mv):
             continue
         cand = Fraction(kummer_vp_factorial(s, p) - mv, s)
@@ -332,12 +332,12 @@ def dwork_robba_check(g: RatMat, p: int, s_max: int) -> list[bool]:
     n = sys.n
     base = 0
     for i in range(1, n):
-        mv = _min_vp(sys.h(i), p)
+        mv = sys.vp(i, p)
         if not is_infinite(mv):
             base = min(base, mv)
     out = []
     for s in range(1, s_max + 1):
-        mv = _min_vp(sys.h(s), p)
+        mv = sys.vp(s, p)
         if is_infinite(mv):
             out.append(True)
             continue

@@ -150,26 +150,67 @@ def test_json_format_default(capsys):
     assert parsed["command"] == "catalog"
 
 
-def test_prime_validated_at_boundary():
-    # non-primes must be rejected before any arithmetic: vp_int(n, 1) never
-    # ends, and mod 4 there are zero divisors; one child runs every case and
-    # is killed if it hangs
-    cases = [[cmd, "--catalog", "polylog:2", "--prime", str(p)] + extra
-             for p in (0, 1, 4, -3)
-             for cmd, extra in (("pcurv", []), ("radius", ["--smax", "8"]))]
+def _run_in_child(cases):
+    """Run each argv in one child, which is killed if it hangs; returns
+    (exit code, has an error key, seconds, envelope) per case."""
     script = (
         "import json, sys, time\n"
         "from gop.cli import run_command\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    t = time.perf_counter()\n"
         "    code, env = run_command(argv)\n"
-        "    print(json.dumps([code, 'error' in env, time.perf_counter() - t]))\n"
+        "    print(json.dumps([code, 'error' in env, time.perf_counter() - t, env]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(gop.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", script, json.dumps(cases)],
                          capture_output=True, text=True, timeout=60, env=env, check=True)
     results = [json.loads(line) for line in out.stdout.splitlines()]
     assert len(results) == len(cases)
-    for argv, (code, has_error, seconds) in zip(cases, results):
+    return results
+
+
+def _assert_usage_errors(cases):
+    for argv, (code, has_error, seconds, _) in zip(cases, _run_in_child(cases)):
         assert code == 1 and has_error, argv
         assert seconds < 5, argv
+
+
+def test_prime_validated_at_boundary():
+    # non-primes must be rejected before any arithmetic: vp_int(n, 1) never
+    # ends, and mod 4 there are zero divisors; primes past the exact range of
+    # is_prime are refused too
+    _assert_usage_errors([[cmd, "--catalog", "polylog:2", "--prime", str(p)] + extra
+                          for p in (0, 1, 4, -3, 10**25)
+                          for cmd, extra in (("pcurv", []), ("radius", ["--smax", "8"]))])
+
+
+def test_growth_sizes_validated_at_boundary():
+    _assert_usage_errors([
+        ["size", "--catalog", "polylog:2", "--s", "0", "--prime-bound", "5"],
+        ["bombieri", "--catalog", "polylog:2", "--s", "0", "--prime-bound", "5"],
+        ["bombieri", "--catalog", "polylog:2", "--s", "-4", "--prime-bound", "5"],
+        ["galochkin", "--catalog", "polylog:2", "--smax", "0"],
+        ["radius", "--catalog", "polylog:1", "--prime", "2", "--smax", "0"],
+        ["radius", "--catalog", "polylog:2", "--prime", "3", "--smax", "2"],
+    ])
+
+
+def test_catalog_ids_and_points_validated_at_boundary():
+    cases = [["catalog", "get", "nope"], ["catalog", "get"], ["catalog", "get", "polylog:x"],
+             ["catalog", "get", "polylog:0"], ["exponents", "--catalog", "polylog:2", "--point", "1/0"],
+             ["pade", "--catalog", "nope", "--N", "3", "--M", "2"]]
+    cases += [[cmd, "--catalog", "nope"] + extra for cmd, extra in (
+        ("classify", []), ("exponents", ["--point", "0"]), ("pcurv", ["--prime", "3"]),
+        ("scan", ["--primes", "2..5"]), ("galochkin", []), ("size", ["--s", "3", "--prime-bound", "5"]),
+        ("radius", ["--prime", "3", "--smax", "5"]), ("bombieri", ["--s", "3", "--prime-bound", "5"]))]
+    _assert_usage_errors(cases)
+
+
+def test_radius_at_large_prime():
+    # a prime near 10^18 is checked in microseconds, and at a prime above
+    # every m <= smax each v_p(H_m) is one division of the content
+    argv = ["radius", "--catalog", "polylog:2", "--prime", str(10**18 + 9), "--smax", "20"]
+    [(code, has_error, seconds, env)] = _run_in_child([argv])
+    assert code == 0 and not has_error
+    assert seconds < 5
+    assert env["result"]["rho_p_hat"]["terms"] == []

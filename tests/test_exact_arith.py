@@ -14,11 +14,14 @@ from gop.exact_arith import (
     RatFn,
     accolade,
     common_denominator,
+    PRIME_CHECK_BOUND,
     gauss_valuation,
     is_infinite,
+    is_prime,
     kummer_vp_factorial,
     lcm_upto,
     poly_gcd,
+    primes_upto,
     resultant,
     series_gauss_valuation,
     vp_fraction,
@@ -218,3 +221,17 @@ def test_resultant_vs_root_products():
 
 def test_gauss_valuation_matrix_convention_zero():
     assert is_infinite(series_gauss_valuation([], 3))
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+    # strong pseudoprimes to the first 11 and 12 prime bases, and a composite
+    # just below the bound
+    strong = [3825123056546413051, 318665857834031151167461, PRIME_CHECK_BOUND - 2]
+    cases = list(range(-3, 10**4 + 1)) + carmichael + strong + [10**18 + 3, 10**18 + 9]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+    assert [n for n in range(10**4 + 1) if is_prime(n)] == primes_upto(10**4)
+    with pytest.raises(ValueError):
+        is_prime(PRIME_CHECK_BOUND)

@@ -3,7 +3,8 @@
 import math
 from fractions import Fraction
 
-from gop.catalog import catalog_systems, polylog_operator, polylog_system
+from gop import growth
+from gop.catalog import CATALOG, catalog_systems, polylog_operator, polylog_system
 from gop.cli import parse_operator
 from gop.diffop import RatMat, companion, gs_sequence
 from gop.exact_arith import (
@@ -14,6 +15,7 @@ from gop.exact_arith import (
     kummer_vp_factorial,
     lcm_upto,
     primes_upto,
+    vp_int,
 )
 from gop.growth import (
     ExactLog,
@@ -79,6 +81,44 @@ def test_galochkin_brute_force_cross_check():
             brute.append(q)
         tr = galochkin_trace(g, 15)
         assert list(tr.q) == brute
+
+
+def _every_catalog_system():
+    out = list(catalog_systems())
+    for entry in CATALOG.values():
+        out.append((f"{entry.id}:companion", companion(entry.operator)))
+        if entry.system is not None:
+            out.append((f"{entry.id}:system", entry.system))
+    return out
+
+
+def test_content_valuation_equals_coefficient_minimum():
+    # min over the coefficients of H_m of v_p, taken one coefficient at a time
+    for label, g in _every_catalog_system():
+        sys = cleared_system(g)
+        for m in range(1, 41):
+            coeffs = [c for row in sys.h(m) for poly in row for c in poly if c]
+            for p in primes_upto(31):
+                if not coeffs:
+                    assert sys.content(m) == 0 and is_infinite(sys.vp(m, p))
+                    continue
+                want = min(vp_int(c, p) for c in coeffs)
+                assert vp_int(sys.content(m), p) == want == sys.vp(m, p), (label, m, p)
+
+
+def test_bombieri_valuation_calls_bounded(monkeypatch):
+    # one valuation of the content per (m, p) for each reader, not one per
+    # coefficient
+    calls = 0
+
+    def counted(n, p):
+        nonlocal calls
+        calls += 1
+        return vp_int(n, p)
+
+    monkeypatch.setattr(growth, "vp_int", counted)
+    bombieri_report(polylog_system(3), 60, 61)
+    assert 0 < calls <= 3 * len(primes_upto(61)) * 60
 
 
 def test_h_s_p_examples():
