@@ -386,11 +386,19 @@ def catalog_ids() -> list[str]:
     return list(CATALOG)
 
 
+# the largest weight catalog_get builds for "polylog:<s>": the operator comes
+# from composing theta^(s-1), whose cost grows fast (about 1.4 s at weight 30,
+# 5 s at 60, and weight 150 does not finish in 20 s)
+POLYLOG_MAX_WEIGHT = 30
+
+
 def catalog_get(entry_id: str) -> CatalogEntry:
     if entry_id in CATALOG:
         return CATALOG[entry_id]
     if entry_id.startswith("polylog:"):
         s = int(entry_id.split(":", 1)[1])
+        if s > POLYLOG_MAX_WEIGHT:
+            raise ValueError(f"polylog weight must be <= {POLYLOG_MAX_WEIGHT}, got {s}")
         return CatalogEntry(
             id=entry_id,
             description=f"weight-{s} polylogarithm operator and its chain system",

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -275,7 +276,12 @@ def frac_str(q) -> str:
     return str(q)
 
 
-def dec15(x: float) -> str:
+def dec15(x) -> str:
+    """15 significant digits of a float, or of a Decimal past the float
+    range, written the same way."""
+    if isinstance(x, Decimal):
+        mantissa, exp = f"{x:.14e}".split("e")
+        return f"{mantissa.rstrip('0').rstrip('.')}e{exp}"
     return f"{x:.15g}"
 
 

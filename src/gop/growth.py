@@ -284,13 +284,13 @@ def h_s_p(g: RatMat, s: int, p: int) -> ExactLog:
 def size_estimate(g: RatMat, s: int, prime_bound: int) -> ExactLog:
     """Finite truncation of the size: (1/s) * sum over p <= bound of h(s, p).
 
-    Primes above max(s, bad primes of G) contribute nothing and drop out on
-    their own since G_m/m! is p-integral there.
+    Only primes p <= s are visited: H_m is integral and v_p(m!) = 0 for
+    p > m, so h(s, p) = 0 for every p > s.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     acc = ExactLog.zero()
-    for p in primes_upto(prime_bound):
+    for p in primes_upto(min(s, prime_bound)):
         acc = acc + h_s_p(g, s, p).scale(Fraction(1, s))
     return acc
 
@@ -371,15 +371,20 @@ def bombieri_report(
     radius side evaluates the Hadamard quotient at the horizon s (window
     [s, s]): early-s terms overshoot the liminf badly for nilpotent systems,
     while the horizon quotient tracks it.
+
+    Both sums run over primes p <= s only; above s every term is 0, as in
+    size_estimate, and h_table holds 0 for those primes.
     """
+    if s < 1:
+        raise ValueError("s must be >= 1")
     sys = cleared_system(g)
     n = sys.n
-    sigma = size_estimate(g, s, prime_bound)
-    rho = ExactLog.zero()
-    h_table = {}
-    for p in primes_upto(prime_bound):
+    sigma = rho = ExactLog.zero()
+    h_table = dict.fromkeys(primes_upto(prime_bound), Fraction(0))
+    for p in primes_upto(min(s, prime_bound)):
         rho = rho + radius_estimate(g, p, s, s_min=s)
         hv = h_s_p(g, s, p)
+        sigma = sigma + hv.scale(Fraction(1, s))
         h_table[p] = hv.terms.get(p, Fraction(0))
     sig_f, rho_f = sigma.to_float(), rho.to_float()
     lower_ok = rho_f <= sig_f + slack
@@ -401,17 +406,12 @@ def bombieri_report(
 def nilpotence_valuation_bound(g: RatMat, p: int, s_upto: int = 3) -> bool:
     """For a system nilpotent mod p, certify v(G_{pns}) >= s for s <= s_upto
     (the sigma read off v(G_{pn}) >= 1).  Runs the cleared recurrence modulo
-    p^s_upto so every coefficient stays a machine integer."""
+    p^s_upto and tests every coefficient of the block at once."""
     sys = cleared_system(g)
     n = sys.n
     modulus = p**s_upto
     seq = ClearedSequenceMod(sys.t, sys.tg, modulus)
     for s in range(1, s_upto + 1):
-        cur = seq.goto(p * n * s)
-        want = p**s
-        for row in cur:
-            for poly in row:
-                for c in poly:
-                    if int(c) % want:
-                        return False
+        if (seq.goto(p * n * s) % p**s).any():
+            return False
     return True

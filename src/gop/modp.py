@@ -2,10 +2,19 @@
 denominator-cleared polynomial sequences.
 
 Every computation in characteristic p (and modulo small prime powers) runs on
-integer polynomials with numpy coefficient rows, low degree first, reduced
-modulo m and trimmed of trailing zeros.  There is no F_p(z) arithmetic:
+integer polynomial matrices reduced modulo m.  There is no F_p(z) arithmetic:
 denominators are cleared once in characteristic zero, so no gcd is ever taken
 modulo m.
+
+A polynomial matrix is held as one numpy block of shape (degree+1, rows, n):
+``block[e]`` is the matrix of z^e coefficients, each in [0, m), and the top
+degree is nonzero (a zero matrix has no degrees at all).  The block is int64
+while every sum a step forms stays below 2^63, and of dtype ``object``
+(Python ints, exact for any modulus) otherwise.
+
+numpy is imported by the first ``ClearedSequenceMod``, not with this module:
+only the p-curvature and valuation paths run the engine, and most commands
+never load it.
 
 The reduction map follows the Gauss-valuation convention: a rational function
 reduces mod p iff its Gauss valuation is >= 0, after normalizing the
@@ -16,8 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .errors import BadPrime
 from .exact_arith import Poly, RatFn, as_fraction, gauss_valuation, poly_gauss_valuation, vp_int
@@ -58,107 +65,108 @@ def reduce_ratfn_mod_p(f: RatFn, p: int) -> tuple[list[int], list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# numpy polynomials mod m
-#
-# Coefficients are int64 in [0, m).  A product of two of them, or a sum of
-# k such products in a convolution, can pass 2^63 once m is large (the
-# valuation bound in growth works mod p^3); those products are taken with
-# Python ints (object dtype) and reduced before going back to int64.
+# blocks of polynomial matrices mod m
 
 _INT64_BOUND = 2**63
-_MAX_MODULUS = 2**62  # a sum of two residues must still fit in int64
-_EMPTY = np.zeros(0, dtype=np.int64)
 
 
-def _np_poly(coeffs: Sequence[int], m: int) -> np.ndarray:
-    arr = np.array([c % m for c in coeffs], dtype=np.int64)
-    return _np_trim(arr)
+def _numpy():
+    """numpy, loaded on first use rather than when gop is imported."""
+    import numpy
+
+    return numpy
 
 
-def _np_trim(a: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(a)[0]
-    return a[: nz[-1] + 1] if nz.size else _EMPTY
+def _dtype(terms: int, m: int):
+    """int64 when a sum of ``terms`` products of residues mod m fits."""
+    return object if terms * (m - 1) ** 2 >= _INT64_BOUND else "int64"
 
 
-def _np_reduce(a: np.ndarray, m: int) -> np.ndarray:
-    return _np_trim((a % m).astype(np.int64))
+def _trim(block):
+    """Drop the all-zero top degrees of a block."""
+    if not len(block) or block[-1].any():
+        return block
+    nonzero = (block != 0).any(axis=(1, 2)).nonzero()[0]
+    return block[: nonzero[-1] + 1] if nonzero.size else block[:0]
 
 
-def _np_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    if a.size == 0 or b.size == 0:
-        return _EMPTY
-    if min(a.size, b.size) * (m - 1) ** 2 >= _INT64_BOUND:
-        return _np_reduce(np.convolve(a.astype(object), b.astype(object)), m)
-    return _np_trim(np.convolve(a, b) % m)
+def _trim_list(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
-def _np_add(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    if a.size < b.size:
-        a, b = b, a
-    out = a.copy()
-    out[: b.size] = (out[: b.size] + b) % m
-    return _np_trim(out)
+def _block(entries: Sequence[Sequence[Sequence[int]]], m: int, dtype):
+    """Block mod m of a matrix given as [row][col] integer coefficient lists."""
+    degrees = max((len(c) for row in entries for c in row), default=0)
+    out = _numpy().zeros((degrees, len(entries), len(entries[0])), dtype=dtype)
+    for i, row in enumerate(entries):
+        for j, c in enumerate(row):
+            out[: len(c), i, j] = [x % m for x in c]
+    return _trim(out)
 
 
-def _np_scale(a: np.ndarray, c: int, m: int) -> np.ndarray:
-    c %= m
-    if (m - 1) * c >= _INT64_BOUND:
-        return _np_reduce(a.astype(object) * c, m)
-    return _np_trim((a * c) % m)
+def _entry_lengths(block) -> list[list[int]]:
+    """[row][col] 1 + the degree of each entry of a nonempty block, 0 for a
+    zero entry."""
+    nonzero = block != 0
+    return _numpy().where(nonzero.any(axis=0), len(block) - nonzero[::-1].argmax(axis=0), 0).tolist()
 
 
-def _np_deriv(a: np.ndarray, m: int) -> np.ndarray:
-    if a.size <= 1:
-        return _EMPTY
-    k = np.arange(1, a.size, dtype=np.int64)
-    if (m - 1) * (a.size - 1) >= _INT64_BOUND:
-        return _np_reduce(a[1:].astype(object) * k.astype(object), m)
-    return _np_trim((a[1:] * k) % m)
-
-
-def _row_times(row, mat, m: int) -> list[np.ndarray]:
-    """Row vector times square matrix of numpy polynomials mod m."""
-    out = []
-    for j in range(len(mat)):
-        acc = _EMPTY
-        for k, a in enumerate(row):
-            if a.size:
-                acc = _np_add(acc, _np_mul(a, mat[k][j], m), m)
-        out.append(acc)
-    return out
+def block_entries(block) -> list[list[list[int]]]:
+    """[row][col] coefficient lists of a block, low degree first, trailing
+    zeros trimmed."""
+    return [
+        [_trim_list(block[:, i, j].tolist()) for j in range(block.shape[2])]
+        for i in range(block.shape[1])
+    ]
 
 
 class FpMat:
-    """Square matrix over F_p[z]: ``rows`` holds trimmed int64 coefficient
-    arrays in [0, prime), low degree first."""
+    """Square matrix over F_p[z] held as one trimmed block of shape
+    (degree+1, n, n) with coefficients in [0, prime)."""
 
-    def __init__(self, prime: int, rows):
+    def __init__(self, prime: int, block):
         self.prime = prime
-        self.rows = rows
+        self.block = block
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.block.shape[1]
 
     def is_zero(self) -> bool:
-        return all(c.size == 0 for row in self.rows for c in row)
+        return len(self.block) == 0
 
     def __mul__(self, other: "FpMat") -> "FpMat":
-        return FpMat(self.prime, [_row_times(row, other.rows, self.prime) for row in self.rows])
+        np = _numpy()
+        a, b, p, n = self.block, other.block, self.prime, self.n
+        if not (len(a) and len(b)):
+            return FpMat(p, a[:0])
+        dtype = _dtype(n * min(len(a), len(b)), p)
+        a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+        out = np.zeros((len(a) + len(b) - 1, n, n), dtype=dtype)
+        # each entry is convolved only up to its own degree, so zero and short
+        # entries cost little; at p = 1009 this product took a third of the
+        # time of a matmul per degree of the left factor
+        left, right = _entry_lengths(a), _entry_lengths(b)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    x, y = left[i][k], right[k][j]
+                    if x and y:
+                        out[: x + y - 1, i, j] += np.convolve(a[:x, i, k], b[:y, k, j])
+        return FpMat(p, _trim(out % p))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FpMat)
             and self.prime == other.prime
-            and len(self.rows) == len(other.rows)
-            and all(
-                len(ra) == len(rb) and all(np.array_equal(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
+            and self.block.shape == other.block.shape
+            and bool((self.block == other.block).all())
         )
 
     def __repr__(self):
-        return f"FpMat(prime={self.prime}, {[[c.tolist() for c in row] for row in self.rows]})"
+        return f"FpMat(prime={self.prime}, {block_entries(self.block)})"
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +180,14 @@ class FpMat:
 
 
 class ClearedSequenceMod:
-    """Iterator over rows of H_s mod m for a cleared system (T, TG).
+    """Iterator over a block of rows of H_s mod m for a cleared system (T, TG).
 
     ``t_coeffs`` and the entries of ``tg`` (indexed [row][col]) and ``start``
     are integer coefficient lists.  ``start`` is the block of rows at index
     ``s``; by default the whole of H_1 = TG.  ``current`` is the block at
-    index ``self.s``.
+    index ``self.s``, of shape (degree+1, rows, n).  Any modulus m >= 2 is
+    exact: the block is int64 only while an output coefficient, a sum of
+    n·len(TG) + len(T) + len(T') products of residues, stays below 2^63.
     """
 
     def __init__(
@@ -188,28 +198,38 @@ class ClearedSequenceMod:
         start: Sequence[Sequence[Sequence[int]]] | None = None,
         s: int = 1,
     ):
-        if not 2 <= m <= _MAX_MODULUS:
-            raise ValueError(f"modulus must lie in [2, 2^62], got {m}")
+        if m < 2:
+            raise ValueError(f"modulus must be >= 2, got {m}")
         self.m = m
-        self.t = _np_poly(t_coeffs, m)
-        self.dt = _np_deriv(self.t, m)
-        self.tg = [[_np_poly(c, m) for c in row] for row in tg]
+        self.t = _trim_list([c % m for c in t_coeffs])
+        self.dt = _trim_list([i * c % m for i, c in enumerate(t_coeffs)][1:])
+        tg_len = max((len(c) for row in tg for c in row), default=0)
+        dtype = _dtype(len(tg) * tg_len + len(self.t) + len(self.dt), m)
+        self.tg = _block(tg, m, dtype)
         self.s = s
-        rows = tg if start is None else start
-        self.current = [[_np_poly(c, m) for c in row] for row in rows]
+        self.current = _block(tg if start is None else start, m, dtype)
 
     def advance(self):
         """Step from H_s to H_{s+1}."""
-        m = self.m
-        out = []
-        for h in self.current:
-            row = _row_times(h, self.tg, m)
-            for j, c in enumerate(h):
-                if c.size:
-                    acc = _np_add(row[j], _np_mul(self.t, _np_deriv(c, m), m), m)
-                    row[j] = _np_add(acc, _np_scale(_np_mul(self.dt, c, m), -self.s, m), m)
-            out.append(row)
-        self.current = out
+        np = _numpy()
+        h, m = self.current, self.m
+        d = len(h)
+        size = max(d + max(len(self.tg), len(self.t) - 1, len(self.dt)) - 1, 0)
+        out = np.zeros((size,) + h.shape[1:], dtype=h.dtype)
+        for e, coeff in enumerate(self.tg):
+            out[e : e + d] += h @ coeff
+        if d > 1:
+            # T H': the coefficient t_i of T scales z^(k-1) by t_i k
+            k = np.arange(1, d, dtype=h.dtype) % m
+            for i, c in enumerate(self.t):
+                if c:
+                    out[i : i + d - 1] += (c * k % m).reshape(-1, 1, 1) * h[1:]
+        for i, c in enumerate(self.dt):
+            c = -self.s * c % m
+            if c:
+                out[i : i + d] += c * h
+        out %= m
+        self.current = _trim(out)
         self.s += 1
 
     def goto(self, s: int):
@@ -220,4 +240,4 @@ class ClearedSequenceMod:
         return self.current
 
     def is_zero(self) -> bool:
-        return all(c.size == 0 for row in self.current for c in row)
+        return len(self.current) == 0

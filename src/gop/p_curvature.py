@@ -8,6 +8,11 @@ the nilpotence verdict and index.  Nilpotence has two routes: the matrix
 power test (H_p)^n = 0, and right division of D^(pn) by L mod p, run as the
 row e_0 of the same recurrence for the cleared operator.  The scan records
 whether the two agree when an operator is available.
+
+Matrices over F_p[z] are ``FpMat`` blocks of shape (degree+1, n, n), the
+engine's own layout; their products convolve entry by entry.  The first
+p-curvature computed in a process loads numpy (``modp`` defers the import to
+the engine), so commands that never reach this module do not pay for it.
 """
 
 from __future__ import annotations

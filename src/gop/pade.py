@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -91,12 +92,24 @@ def pade_type2(
     return q, ps
 
 
+def _power(base: int, exponent: float):
+    """base ** exponent as a float, or as a Decimal of 20 significant digits
+    once it passes the float range."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        with localcontext() as ctx:
+            ctx.prec = 20
+            return Decimal(base) ** Decimal(exponent)
+
+
 def siegel_bound_report(
     f: Sequence[TruncatedSeries], big_n: int, big_m: int
 ) -> dict:
     """Height data of the integer order-condition system together with the
     pigeonhole bound (n_unknowns * A)^(m/(n_unknowns - m)); reported only,
-    the computed kernel vector is not required to satisfy it."""
+    the computed kernel vector is not required to satisfy it.  The bound is a
+    float, or a Decimal when it lies past the float range."""
     n = len(f)
     need = big_n + big_m + 1
     coeffs = [c for comp in f for c in comp.coeffs[:need]]
@@ -109,7 +122,7 @@ def siegel_bound_report(
     m_eq = n * big_m
     unknowns = big_n + 1
     if unknowns > m_eq:
-        bound = float(unknowns * height) ** (m_eq / (unknowns - m_eq)) if height else 0.0
+        bound = _power(unknowns * height, m_eq / (unknowns - m_eq)) if height else 0.0
     else:
         bound = float("inf")
     return {

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -150,6 +151,14 @@ def test_json_format_default(capsys):
     assert parsed["command"] == "catalog"
 
 
+def _child_stdout(script, *args):
+    """stdout of a fresh interpreter running script, killed if it hangs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gop.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script, *args],
+                         capture_output=True, text=True, timeout=60, env=env, check=True)
+    return out.stdout
+
+
 def _run_in_child(cases):
     """Run each argv in one child, which is killed if it hangs; returns
     (exit code, has an error key, seconds, envelope) per case."""
@@ -161,10 +170,7 @@ def _run_in_child(cases):
         "    code, env = run_command(argv)\n"
         "    print(json.dumps([code, 'error' in env, time.perf_counter() - t, env]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(gop.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", script, json.dumps(cases)],
-                         capture_output=True, text=True, timeout=60, env=env, check=True)
-    results = [json.loads(line) for line in out.stdout.splitlines()]
+    results = [json.loads(line) for line in _child_stdout(script, json.dumps(cases)).splitlines()]
     assert len(results) == len(cases)
     return results
 
@@ -214,3 +220,46 @@ def test_radius_at_large_prime():
     assert code == 0 and not has_error
     assert seconds < 5
     assert env["result"]["rho_p_hat"]["terms"] == []
+
+
+def test_polylog_weight_bounded_at_boundary():
+    # the weight-150 operator alone takes longer than 20 s to build
+    _assert_usage_errors([["catalog", "get", "polylog:150"],
+                          ["scan", "--catalog", "polylog:150", "--primes", "2..5"]])
+
+
+def test_growth_at_large_prime_bound():
+    # h(s, p) = 0 for p > s, so primes above s cost nothing and change nothing
+    big, small = ([[cmd, "--catalog", "polylog:2", "--s", "5", "--prime-bound", bound]
+                   for cmd in ("size", "bombieri")] for bound in ("3000000", "5"))
+    for (code, _, seconds, env), (_, _, _, want) in zip(_run_in_child(big), _run_in_child(small)):
+        assert code == 0 and seconds < 5
+        for key in ("sigma_hat", "rho_hat", "h_table", "sandwich_ok"):
+            assert env["result"].get(key) == want["result"].get(key), key
+
+
+def test_siegel_bound_past_float_range():
+    code, env = run_command(["pade", "--catalog", "polylog:2", "--N", "40", "--M", "12"])
+    assert code == 0
+    validate(env, load_schema("pade"))
+    siegel = env["result"]["siegel"]
+    u, m, height = siegel["unknowns"], siegel["equations"], int(siegel["height"])
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = Decimal(u * height) ** (Decimal(m) / (u - m))
+        assert abs(Decimal(siegel["bound"]) / exact - 1) < Decimal("1e-13")
+    assert siegel["bound"] == "1.21821593487488e+321"
+
+
+def test_numpy_loaded_only_by_the_mod_p_engine():
+    script = (
+        "import contextlib, io, sys\n"
+        "import gop.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "for argv in (['bombieri', '--catalog', 'polylog:2', '--s', '20', '--prime-bound', '20'],\n"
+        "             ['scan', '--catalog', 'polylog:2', '--primes', '2..5']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert gop.cli.main(argv) == 0\n"
+        "    print('numpy' in sys.modules)\n"
+    )
+    assert _child_stdout(script).split() == ["False", "False", "True"]

@@ -30,7 +30,7 @@ from gop.growth import (
     radius_estimate,
     size_estimate,
 )
-from gop.modp import ClearedSequenceMod
+from gop.modp import ClearedSequenceMod, block_entries
 from gop.p_curvature import is_nilpotent, p_curvature
 from gop.errors import BadPrime
 
@@ -216,17 +216,20 @@ def test_nilpotence_valuation_bound():
 
 
 def test_modular_engine_matches_integers_at_large_modulus():
-    # products of residues mod 2^61 - 1 pass 2^63, where int64 arithmetic
-    # wraps (72 coefficients of this H_24 would come out wrong)
-    m = 2**61 - 1
-    sys = cleared_system(LI2_SYS)
-    native = ClearedSequenceMod(sys.t, sys.tg, m).goto(24)
-    for row_native, row_exact in zip(native, sys.h(24)):
-        for a, b in zip(row_native, row_exact):
-            want = [c % m for c in b]
-            while want and want[-1] == 0:
-                want.pop()
-            assert a.tolist() == want
+    # past 2^31 products of residues pass 2^63, where int64 arithmetic wraps
+    # (72 coefficients of polylog:2's H_24 mod 2^61 - 1 would come out
+    # wrong); the engine must be exact at every modulus, 2^89 - 1 included
+    for label, g in catalog_systems():
+        sys = cleared_system(g)
+        for m in (7, 27, 2**31 - 1, 2**61 - 1, 2**89 - 1):
+            seq = ClearedSequenceMod(sys.t, sys.tg, m)
+            for s in range(1, 31):
+                want = [[[c % m for c in poly] for poly in row] for row in sys.h(s)]
+                for row in want:
+                    for poly in row:
+                        while poly and poly[-1] == 0:
+                            poly.pop()
+                assert block_entries(seq.goto(s)) == want, (label, m, s)
 
 
 def test_exactlog_arithmetic():

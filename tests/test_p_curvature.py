@@ -19,7 +19,7 @@ from gop.diffop import RatMat, companion, gs_sequence
 from gop.errors import BadPrime, IrregularPoint
 from gop.exact_arith import Poly, RatFn, primes_upto
 from gop.growth import cleared_system, minimal_T
-from gop.modp import ClearedSequenceMod, reduce_poly_mod_p, reduce_ratfn_mod_p
+from gop.modp import ClearedSequenceMod, block_entries, reduce_poly_mod_p, reduce_ratfn_mod_p
 from gop.p_curvature import (
     FpMat,
     global_scan,
@@ -56,16 +56,15 @@ def test_p_curvature_examples():
 
 
 def test_is_nilpotent_examples():
+    # blocks of shape (degree+1, n, n), block[e] the z^e coefficients
     p = 7
-    one = np.array([1], dtype=np.int64)
-    zero = np.zeros(0, dtype=np.int64)
-    upper = FpMat(p, [[zero, one], [zero, zero]])
+    upper = FpMat(p, np.array([[[0, 1], [0, 0]]], dtype=np.int64))
     assert is_nilpotent(upper) == (True, 2)
-    ident = FpMat(p, [[one, zero], [zero, one]])
+    ident = FpMat(p, np.array([[[1, 0], [0, 1]]], dtype=np.int64))
     assert is_nilpotent(ident) == (False, None)
     # a polynomial corner entry: still index 2 over F_7[z]
-    z = np.array([0, 1], dtype=np.int64)
-    assert is_nilpotent(FpMat(p, [[zero, z], [zero, zero]])) == (True, 2)
+    z = np.array([[[0, 0], [0, 0]], [[0, 1], [0, 0]]], dtype=np.int64)
+    assert is_nilpotent(FpMat(p, z)) == (True, 2)
     li2gp = p_curvature(companion(polylog_operator(2)), 5)
     nil, idx = is_nilpotent(li2gp)
     assert nil and idx <= 3
@@ -140,7 +139,7 @@ def test_reduction_commutes_with_recurrence():
         for p in (3, 7):
             seq = ClearedSequenceMod(sys.t, sys.tg, p)
             for s in range(1, 21):
-                native = [[c.tolist() for c in row] for row in seq.goto(s)]
+                native = block_entries(seq.goto(s))
                 reduced = [
                     [reduce_poly_mod_p((t**s * e.num).exact_div(e.den), p) for e in row]
                     for row in char0[s - 1].entries
