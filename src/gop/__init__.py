@@ -31,7 +31,6 @@ from .diffop import (
     apply_to_power,
     change_basis,
     companion,
-    gs_sequence,
     op_add,
     op_div_right,
     op_mul,
@@ -56,6 +55,7 @@ from .growth import (
     bombieri_report,
     dwork_robba_check,
     galochkin_trace,
+    gs_sequence,
     h_s_p,
     minimal_T,
     radius_estimate,

@@ -545,6 +545,8 @@ def _cmd_bombieri(args) -> dict:
 
 
 def _cmd_pade(args) -> dict:
+    _check_at_least("--N", args.N, 0)
+    _check_at_least("--M", args.M, 0)
     if args.series:
         f = _load_series_file(args.series)
         q, ps = pade_type2(f, args.N, args.M)

@@ -1,9 +1,10 @@
 """The non-commutative operator algebra Q(z)[d/dz] = Q(z)[theta].
 
 Operators are immutable coefficient vectors over Q(z) in one of two bases:
-powers of D = d/dz or powers of theta = z*d/dz.  The module also houses the
-first-order-system side (square matrices over Q(z), the derived-matrix
-sequence G_s) and truncated power series with explicit order bookkeeping.
+powers of D = d/dz or powers of theta = z*d/dz.  The module also houses
+square matrices over Q(z) (RatMat, companion matrices) and truncated power
+series with explicit order bookkeeping.  The derived-matrix sequence G_s of a
+system lives in growth, which reads it off the cleared integer recurrence.
 """
 
 from __future__ import annotations
@@ -378,91 +379,6 @@ def companion(l: DiffOp) -> RatMat:
     for j in range(n):
         rows[n - 1][j] = -ld.coeff(j)
     return RatMat(rows)
-
-
-# -- the derived-matrix sequence G_{s+1} = G_s G + G_s'
-
-
-def _certified_factors(t: Poly) -> list[tuple[Poly, int, bool]]:
-    """Monic factorization of t into (factor, multiplicity, certified
-    irreducible) pieces.  Degree <= 3 factors without rational roots are
-    certified; higher-degree residuals are kept whole, uncertified."""
-    out = []
-    for g, mult in t.squarefree_decomposition():
-        rest = g
-        for root, m in g.rational_roots():
-            lin = Poly([-root, 1])
-            out.append((lin, mult * m, True))
-            for _ in range(m):
-                rest = rest.exact_div(lin)
-        if rest.degree >= 1:
-            out.append((rest.monic(), mult, rest.degree <= 3))
-    return out
-
-
-def _reduced_ratio(num: Poly, factors, k: int) -> RatFn:
-    """num / prod(f^(mult*k)) reduced, dividing out certified factors."""
-    if num.is_zero():
-        return RatFn.ZERO
-    exps = []
-    trusted = True
-    for f, mult, certified in factors:
-        e = mult * k
-        while e > 0:
-            q, r = num.divmod(f)
-            if not r.is_zero():
-                break
-            num, e = q, e - 1
-        if e > 0 and not certified:
-            trusted = False
-        exps.append((f, e))
-    den = Poly.ONE
-    for f, e in exps:
-        if e:
-            den = den * f**e
-    if trusted:
-        return RatFn._reduced(num, den)
-    return RatFn(num, den)
-
-
-def common_denominator_poly(g: RatMat) -> Poly:
-    """Monic lcm of the entry denominators."""
-    t = Poly.ONE
-    for row in g.entries:
-        for e in row:
-            t = poly_lcm(t, e.den)
-    return t
-
-
-def gs_sequence(g: RatMat, s_max: int) -> list[RatMat]:
-    """[G_1, ..., G_s_max] with G_1 = G and G_{s+1} = G_s G + G_s'.
-
-    Internally iterates the denominator-cleared form H_s = T^s G_s, which
-    stays polynomial, and reduces each entry to lowest terms on output."""
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
-    t = common_denominator_poly(g)
-    factors = _certified_factors(t)
-    n = g.n
-    tg = [[(as_ratfn(t) * g.entries[i][j]).as_poly() for j in range(n)] for i in range(n)]
-    dt = t.derivative()
-    out = [g]
-    h = [row[:] for row in tg]
-    for s in range(1, s_max):
-        nh = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = Poly()
-                for k in range(n):
-                    if not h[i][k].is_zero() and not tg[k][j].is_zero():
-                        acc = acc + h[i][k] * tg[k][j]
-                acc = acc + t * h[i][j].derivative() - (s * dt) * h[i][j]
-                row.append(acc)
-            nh.append(row)
-        h = nh
-        out.append(RatMat([[_reduced_ratio(h[i][j], factors, s + 1) for j in range(n)] for i in range(n)]))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,12 @@ which satisfies the polynomial recurrence
 
 stays integer once T is normalized integer-primitive, and shares Gauss
 valuations with G_s (v(G_s) = v(H_s) because T has unit content at every
-prime).  Every p-adic quantity reads the integer content c_m = gcd of the
+prime).  _step is the one characteristic-zero implementation of this step:
+gs_sequence reads G_s = H_s / T^s off it, pade.derived_tower runs it on a
+row vector with TG replaced by -(TG)^T, and the p-adic quantities below read
+the contents of its H_s (modp.ClearedSequenceMod is the mod-m engine).
+
+Every p-adic quantity reads the integer content c_m = gcd of the
 coefficients of H_m, once per m for all primes: min v_p(H_m) = v_p(c_m), and
 lcm over coefficients c of m!/gcd(m!, c) equals m!/gcd(m!, c_m).
 Logarithmic quantities are carried as exact {prime: exponent} combinations
@@ -20,14 +25,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diffop import RatMat, common_denominator_poly
+from .diffop import RatMat
 from .exact_arith import (
     GAUSS_INF,
     Poly,
+    RatFn,
     accolade,
     as_ratfn,
     is_infinite,
     kummer_vp_factorial,
+    poly_lcm,
     primes_upto,
     vp_int,
 )
@@ -37,16 +44,7 @@ from .modp import ClearedSequenceMod
 def minimal_T(g: RatMat) -> Poly:
     """Smallest common denominator of G, normalized so that both T and T*G
     have integer coefficients: primitive integer form, positive leading."""
-    t0 = common_denominator_poly(g)
-    dens = [c.denominator for c in t0.coeffs]
-    for row in g.entries:
-        for e in row:
-            prod = as_ratfn(t0) * e
-            dens.extend(c.denominator for c in prod.as_poly().coeffs)
-    d = math.lcm(*dens) if dens else 1
-    # t0 is monic, so d is exactly the minimal integer scale; the result has
-    # integer coefficients and positive leading coefficient d
-    return t0 * d
+    return Poly(cleared_system(g).t)
 
 
 @dataclass
@@ -79,21 +77,26 @@ class _IntSystem:
         return vp_int(c, p) if c else GAUSS_INF
 
     def _advance(self):
-        s = len(self.hs)
-        h = self.hs[-1]
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = [0]
-                for k in range(n):
-                    acc = _ipoly_add(acc, _ipoly_mul(h[i][k], self.tg[k][j]))
-                acc = _ipoly_add(acc, _ipoly_mul(self.t, _ipoly_deriv(h[i][j])))
-                acc = _ipoly_add(acc, _ipoly_scale(_ipoly_mul(self.dt, h[i][j]), -s))
-                row.append(acc)
-            out.append(row)
-        self.hs.append(out)
+        self.hs.append(_step(self.hs[-1], len(self.hs), self.t, self.dt, self.tg))
+
+
+def _step(h, s: int, t, dt, tg):
+    """H_{s+1} = H_s (TG) + T H_s' - s T' H_s over Z, the one
+    characteristic-zero step.  h is any block of rows of H_s (n columns);
+    the result has the same rows of H_{s+1}."""
+    n = len(tg)
+    out = []
+    for hrow in h:
+        row = []
+        for j in range(n):
+            acc = [0]
+            for k in range(n):
+                acc = _ipoly_add(acc, _ipoly_mul(hrow[k], tg[k][j]))
+            acc = _ipoly_add(acc, _ipoly_mul(t, _ipoly_deriv(hrow[j])))
+            acc = _ipoly_add(acc, _ipoly_scale(_ipoly_mul(dt, hrow[j]), -s))
+            row.append(acc)
+        out.append(row)
+    return out
 
 
 def _ipoly_trim(a):
@@ -137,24 +140,43 @@ _SYSTEMS: dict[RatMat, _IntSystem] = {}
 
 
 def cleared_system(g: RatMat) -> _IntSystem:
-    """Cached integer cleared form of G with lazy H_s extension."""
+    """Cached integer cleared form of G with lazy H_s extension.
+
+    T = d*T0 with T0 the monic common denominator and d the least integer
+    making both T and TG = d*(T0*G) integral."""
     sys = _SYSTEMS.get(g)
     if sys is None:
-        t = minimal_T(g)
-        t_ints = [int(c) for c in t.coeffs]
-        tg = []
+        t0 = Poly.ONE  # monic lcm of the entry denominators
         for row in g.entries:
-            tg_row = []
             for e in row:
-                prod = (as_ratfn(t) * e).as_poly()
-                tg_row.append([int(c) for c in prod.coeffs])
-            tg.append(tg_row)
+                t0 = poly_lcm(t0, e.den)
+        t0g = [[(as_ratfn(t0) * e).as_poly() for e in row] for row in g.entries]
+        dens = [c.denominator for c in t0.coeffs]
+        dens += [c.denominator for row in t0g for poly in row for c in poly.coeffs]
+        d = math.lcm(*dens)
+        # t0 is monic, so d is exactly the minimal integer scale; T has
+        # positive leading coefficient d
+        t = [int(c * d) for c in t0.coeffs]
+        tg = [[[int(c * d) for c in poly.coeffs] for poly in row] for row in t0g]
         h1 = [[list(c) for c in row] for row in tg]
-        sys = _IntSystem(
-            n=g.n, t=t_ints, dt=_ipoly_deriv(list(t_ints)), tg=tg, hs=[h1]
-        )
+        sys = _IntSystem(n=g.n, t=t, dt=_ipoly_deriv(t), tg=tg, hs=[h1])
         _SYSTEMS[g] = sys
     return sys
+
+
+def gs_sequence(g: RatMat, s_max: int) -> list[RatMat]:
+    """[G_1, ..., G_s_max] with G_1 = G and G_{s+1} = G_s G + G_s', read off
+    the cleared sequence as G_s = H_s / T^s in lowest terms."""
+    if s_max < 1:
+        raise ValueError("s_max must be >= 1")
+    sys = cleared_system(g)
+    t = Poly(sys.t)
+    ts = Poly.ONE
+    out = []
+    for s in range(1, s_max + 1):
+        ts = ts * t
+        out.append(RatMat([[RatFn(Poly(c), ts) for c in row] for row in sys.h(s)]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +272,6 @@ def galochkin_trace(g: RatMat, s_max: int) -> GalochkinTrace:
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     sys = cleared_system(g)
-    t = minimal_T(g)
     q = 1
     qs, logs = [], []
     fact = 1
@@ -260,7 +281,7 @@ def galochkin_trace(g: RatMat, s_max: int) -> GalochkinTrace:
         qs.append(q)
         logs.append(math.log(q) / m if q > 1 else 0.0)
     return GalochkinTrace(
-        T=t, s_values=tuple(range(1, s_max + 1)), q=tuple(qs), log_q_over_s=tuple(logs)
+        T=Poly(sys.t), s_values=tuple(range(1, s_max + 1)), q=tuple(qs), log_q_over_s=tuple(logs)
     )
 
 
@@ -372,15 +393,15 @@ def bombieri_report(
     [s, s]): early-s terms overshoot the liminf badly for nilpotent systems,
     while the horizon quotient tracks it.
 
-    Both sums run over primes p <= s only; above s every term is 0, as in
-    size_estimate, and h_table holds 0 for those primes.
+    Both sums run over primes p <= min(s, prime_bound) only; above s every
+    term is 0, as in size_estimate, and h_table holds only the visited primes.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     sys = cleared_system(g)
     n = sys.n
     sigma = rho = ExactLog.zero()
-    h_table = dict.fromkeys(primes_upto(prime_bound), Fraction(0))
+    h_table = {}
     for p in primes_upto(min(s, prime_bound)):
         rho = rho + radius_estimate(g, p, s, s_min=s)
         hv = h_s_p(g, s, p)

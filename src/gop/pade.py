@@ -15,10 +15,10 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .diffop import RatMat, TruncatedSeries, gs_sequence
+from .diffop import RatMat, TruncatedSeries
 from .errors import InsufficientTruncation, NoSolution
 from .exact_arith import Poly, RatFn, as_ratfn
-from .growth import minimal_T
+from .growth import _step, cleared_system, gs_sequence
 
 
 def _kernel_basis(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
@@ -161,31 +161,27 @@ def residual_order(
 # derived towers and the stacked determinant
 
 
-def derived_tower(
-    ps: Sequence[Poly], g: RatMat, t: Poly, h_max: int
-) -> list[list[Poly]]:
+def derived_tower(ps: Sequence[Poly], g: RatMat, h_max: int) -> list[list[Poly]]:
     """[P_0, ..., P_h_max] with P_m = (T^m/m!) (D - G)^m P, all polynomial.
 
-    Iterates the cleared vector W_m = T^m (D-G)^m P through
-    W_{m+1} = T W_m' - m T' W_m - (TG) W_m and divides by m!."""
+    The cleared vector W_m = T^m (D-G)^m (dP) follows
+    W_{m+1} = T W_m' - m T' W_m - (TG) W_m, so the row W_m^T follows the H_s
+    rule of growth._step with TG replaced by -(TG)^T, from W_0^T = dP^T at
+    s = 0.  Here d is the lcm of the denominators of P, T and TG come from
+    cleared_system(g), and P_m = W_m / (d m!)."""
     n = g.n
     if len(ps) != n:
         raise ValueError("vector length must match the system dimension")
-    tg = [[(as_ratfn(t) * g.entries[i][j]).as_poly() for j in range(n)] for i in range(n)]
-    dt = t.derivative()
-    w = [Poly(p.coeffs) for p in ps]
-    tower = [list(w)]
-    fact = 1
+    sys = cleared_system(g)
+    neg_tg_t = [[[-c for c in sys.tg[k][j]] for k in range(n)] for j in range(n)]
+    d = math.lcm(*(c.denominator for p in ps for c in p.coeffs))
+    w = [[[int(c * d) for c in p.coeffs] for p in ps]]
+    tower = [list(ps)]
+    scale = d
     for m in range(h_max):
-        nw = []
-        for i in range(n):
-            acc = t * w[i].derivative() - (m * dt) * w[i]
-            for k in range(n):
-                acc = acc - tg[i][k] * w[k]
-            nw.append(acc)
-        w = nw
-        fact *= m + 1
-        tower.append([poly * Fraction(1, fact) for poly in w])
+        w = _step(w, m, sys.t, sys.dt, neg_tg_t)
+        scale *= m + 1
+        tower.append([Poly([Fraction(c, scale) for c in poly]) for poly in w[0]])
     return tower
 
 
@@ -264,16 +260,11 @@ def build_pade_system(
     g: RatMat,
     big_n: int,
     big_m: int,
-    h_max: Optional[int] = None,
 ) -> PadeSystem:
-    """Full bench run: solve, verify the residual order, derive the tower,
-    stack the matrix and take its determinant."""
-    n = g.n
-    if h_max is None:
-        h_max = n - 1
+    """Full bench run: solve, verify the residual order, derive the tower
+    P_0, ..., P_(n-1), stack the matrix and take its determinant."""
     q, ps = pade_type2(f, big_n, big_m)
-    t = minimal_T(g)
-    tower = derived_tower(ps, g, t, max(h_max, n - 1))
+    tower = derived_tower(ps, g, g.n - 1)
     r0, delta = shidlovskii_matrix(tower)
     res = residual_order(q, ps, f, required=big_n + big_m + 1)
     return PadeSystem(
@@ -282,7 +273,7 @@ def build_pade_system(
         q=q,
         p=tuple(ps),
         f=tuple(f),
-        t=t,
+        t=Poly(cleared_system(g).t),
         tower=tuple(tuple(vec) for vec in tower),
         r0=tuple(tuple(row) for row in r0),
         delta=delta,

@@ -198,6 +198,8 @@ def test_growth_sizes_validated_at_boundary():
         ["galochkin", "--catalog", "polylog:2", "--smax", "0"],
         ["radius", "--catalog", "polylog:1", "--prime", "2", "--smax", "0"],
         ["radius", "--catalog", "polylog:2", "--prime", "3", "--smax", "2"],
+        ["pade", "--catalog", "polylog:2", "--N", "-1", "--M", "2"],
+        ["pade", "--catalog", "polylog:2", "--N", "4", "--M", "-2"],
     ])
 
 
@@ -230,12 +232,14 @@ def test_polylog_weight_bounded_at_boundary():
 
 def test_growth_at_large_prime_bound():
     # h(s, p) = 0 for p > s, so primes above s cost nothing and change nothing
-    big, small = ([[cmd, "--catalog", "polylog:2", "--s", "5", "--prime-bound", bound]
-                   for cmd in ("size", "bombieri")] for bound in ("3000000", "5"))
-    for (code, _, seconds, env), (_, _, _, want) in zip(_run_in_child(big), _run_in_child(small)):
-        assert code == 0 and seconds < 5
-        for key in ("sigma_hat", "rho_hat", "h_table", "sandwich_ok"):
-            assert env["result"].get(key) == want["result"].get(key), key
+    small, *bigs = ([[cmd, "--catalog", "polylog:2", "--s", "5", "--prime-bound", bound]
+                     for cmd in ("size", "bombieri")] for bound in ("5", "3000000", str(10**18)))
+    want = _run_in_child(small)
+    for big in bigs:
+        for (code, _, seconds, env), (_, _, _, ref) in zip(_run_in_child(big), want):
+            assert code == 0 and seconds < 5
+            for key in ("sigma_hat", "rho_hat", "h_table", "sandwich_ok"):
+                assert env["result"].get(key) == ref["result"].get(key), key
 
 
 def test_siegel_bound_past_float_range():

@@ -19,7 +19,6 @@ from gop.diffop import (
     apply_to_power,
     change_basis,
     companion,
-    gs_sequence,
     op_add,
     op_div_right,
     op_mul,
@@ -30,6 +29,8 @@ from gop.diffop import (
 )
 from gop.errors import DivisionByZeroOperator, NotOrdinaryPoint
 from gop.exact_arith import Poly, RatFn
+from gop.growth import gs_sequence
+from oracles import every_catalog_system, naive_gs_sequence
 
 
 def rnd_op(rng, basis=Basis.D, max_order=3, max_deg=3):
@@ -158,6 +159,9 @@ def test_gs_sequence_examples():
             for e in row:
                 cleared = RatFn(t) ** s * e
                 assert cleared.is_polynomial()
+    # the cleared integer recurrence against the naive one in Q(z)
+    for label, g in every_catalog_system():
+        assert gs_sequence(g, 8) == naive_gs_sequence(g, 8), label
 
 
 def test_apply_operator_examples():

@@ -15,7 +15,7 @@ from gop.catalog import (
     polylog_system,
 )
 from gop.cli import parse_operator
-from gop.diffop import RatMat, companion, gs_sequence
+from gop.diffop import RatMat, companion
 from gop.errors import BadPrime, IrregularPoint
 from gop.exact_arith import Poly, RatFn, primes_upto
 from gop.growth import cleared_system, minimal_T
@@ -29,6 +29,7 @@ from gop.p_curvature import (
     p_curvature,
     relation_gp_power_holds,
 )
+from oracles import naive_gs_sequence
 
 
 def test_reduce_ratfn_examples():
@@ -130,10 +131,10 @@ def test_relation_gp_all_catalog_systems():
 
 def test_reduction_commutes_with_recurrence():
     # H_s mod p = (T^s G_s) mod p for s <= 20: the native mod-p engine against
-    # G_s from the characteristic-zero route, cleared by T^s there
+    # G_s from the naive characteristic-zero recurrence, cleared by T^s there
     for label, g in [("polylog:1:vector", polylog_system(1)),
                      ("li1comp", companion(polylog_operator(1)))]:
-        char0 = gs_sequence(g, 20)
+        char0 = naive_gs_sequence(g, 20)
         sys = cleared_system(g)
         t = minimal_T(g)
         for p in (3, 7):

@@ -19,6 +19,7 @@ from gop.pade import (
     siegel_bound_report,
     verify_similileibniz,
 )
+from oracles import every_catalog_system, naive_tower
 
 GEOMETRIC = CoeffGenerator("geometric")
 
@@ -75,7 +76,7 @@ def test_derived_tower_examples():
     f, g = li_system_data(1, 30)
     q, ps = pade_type2(f, 6, 3)
     t = minimal_T(g)
-    tower = derived_tower(ps, g, t, 3)
+    tower = derived_tower(ps, g, 3)
     assert tower[0] == list(ps)
     # m = 1 entry is T (P' - G P), degree <= N + t
     tdeg = max(t.degree, max((RatFn(t) * e).as_poly().degree for row in g.entries for e in row if not e.is_zero()))
@@ -87,8 +88,19 @@ def test_derived_tower_examples():
         (RatFn(t) * (RatFn(ps[i].derivative()) - gp[i])).as_poly() for i in range(2)
     ]
     assert tower[1] == direct_m1
-    zero_tower = derived_tower([Poly(), Poly()], g, t, 2)
+    zero_tower = derived_tower([Poly(), Poly()], g, 2)
     assert all(p.is_zero() for vec in zero_tower for p in vec)
+
+
+def test_tower_matches_definition():
+    # P_m = T^m/m! (D - G)^m P for m <= 6, the right side in Q(z)
+    for label, g in every_catalog_system():
+        t = minimal_T(g)
+        rational = [Poly([Fraction(2, 3), Fraction(-5, 7 + i), Fraction(1, 4)]) for i in range(g.n)]
+        for ps in (rational, [Poly()] * g.n):
+            want = naive_tower(ps, g, t, 6)
+            got = derived_tower(ps, g, 6)
+            assert [[RatFn(p) for p in vec] for vec in got] == want, label
 
 
 def test_cascade_orders():
@@ -97,7 +109,7 @@ def test_cascade_orders():
     big_n, big_m = 12, 4
     q, ps = pade_type2(f, big_n, big_m)
     t = minimal_T(g)
-    tower = derived_tower(ps, g, t, 5)
+    tower = derived_tower(ps, g, 5)
     tpoly = t
     qm = Poly(q.coeffs)
     fact = 1
@@ -125,7 +137,7 @@ def test_degree_bound_tower():
     q, ps = pade_type2(f, 12, 4)
     t = minimal_T(g)
     tdeg = max(t.degree, max((RatFn(t) * e).as_poly().degree for row in g.entries for e in row if not e.is_zero()))
-    tower = derived_tower(ps, g, t, 6)
+    tower = derived_tower(ps, g, 6)
     for m, vec in enumerate(tower):
         for p in vec:
             assert p.is_zero() or p.degree <= 12 + tdeg * m
@@ -142,7 +154,7 @@ def test_tower_integrality_within_range():
     for comp in f:
         for c in comp.coeffs[: big_n + big_m + 1]:
             d = math.lcm(d, c.denominator)
-    tower = derived_tower(ps, g, t, big_m)
+    tower = derived_tower(ps, g, big_m)
     for m, vec in enumerate(tower):
         if m * (tdeg + 1) <= big_m:
             for p in vec:
@@ -154,7 +166,7 @@ def test_shidlovskii_examples():
     f = [GEOMETRIC.series(12)]
     q, ps = pade_type2(f, 1, 1)
     g = RatMat([[RatFn(Poly.ONE, Poly([1, -1]))]])
-    tower = derived_tower(ps, g, minimal_T(g), 0)
+    tower = derived_tower(ps, g, 0)
     r0, delta = shidlovskii_matrix(tower)
     assert delta == Poly([1])
     # zero tower accepted, determinant zero
