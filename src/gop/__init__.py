@@ -7,14 +7,9 @@ __version__ = "0.1.0"
 from .catalog import (
     CATALOG,
     CoeffGenerator,
-    QuadParam,
     catalog_get,
     catalog_ids,
-    catalog_systems,
     counterexample_theta2_minus_2,
-    eisenstein_check,
-    gfunction_growth_check,
-    hypergeom_is_gfunction,
     hypergeom_operator,
     hypergeom_series,
     order1_g_operator,
@@ -27,16 +22,12 @@ from .diffop import (
     INFINITY,
     RatMat,
     TruncatedSeries,
-    apply_operator,
-    apply_to_power,
     change_basis,
     companion,
     op_add,
-    op_div_right,
     op_mul,
     op_pow,
     op_sub,
-    ordinary_series_basis,
     translate_to_point,
 )
 from .exact_arith import (
@@ -44,11 +35,8 @@ from .exact_arith import (
     Poly,
     RatFn,
     accolade,
-    common_denominator,
     gauss_valuation,
     kummer_vp_factorial,
-    lcm_upto,
-    series_gauss_valuation,
 )
 from .growth import (
     ExactLog,
@@ -57,7 +45,6 @@ from .growth import (
     galochkin_trace,
     gs_sequence,
     h_s_p,
-    minimal_T,
     radius_estimate,
     size_estimate,
 )

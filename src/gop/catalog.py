@@ -1,9 +1,9 @@
-"""Worked-example constructors and coefficient-growth checkers.
+"""Worked-example constructors and the catalog of named examples.
 
 The catalog is the shared fixture set: polylogarithm chains, a Gauss
 hypergeometric operator, the first-order examples, and the irrational
-exponent counterexample, each with the series data needed to cross-check
-the analysis pipelines.
+exponent counterexample, each with the closed-form series coefficients
+(CoeffGenerator) that the tests check the analysis pipelines against.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .diffop import Basis, DiffOp, RatMat, TruncatedSeries, companion, op_mul, op_pow, op_sub
-from .errors import InvalidParameters, UnsupportedParameters
-from .exact_arith import Poly, RatFn, as_fraction, common_denominator, pochhammer
+from .diffop import Basis, DiffOp, RatMat, TruncatedSeries, op_mul, op_pow, op_sub
+from .errors import InvalidParameters
+from .exact_arith import Poly, RatFn, as_fraction, pochhammer
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +37,6 @@ class CoeffGenerator:
         if self.rule == "polylog":
             s = self.params[0]
             return Fraction(0) if n == 0 else Fraction(1, n**s)
-        if self.rule == "factorial":
-            return Fraction(math.factorial(n))
         if self.rule == "reciprocal_factorial":
             return Fraction(1, math.factorial(n))
         if self.rule == "sqrt_one_minus_z":
@@ -125,106 +123,6 @@ def hypergeom_series(alphas: Sequence, betas: Sequence) -> CoeffGenerator:
     )
 
 
-def hypergeom_expected_exponents(alphas, betas) -> dict:
-    """The three local exponent lists of the hypergeometric operator."""
-    alphas = [as_fraction(a) for a in alphas]
-    betas = [as_fraction(b) for b in betas]
-    n = len(alphas)
-    at_zero = [Fraction(0)] + [1 - b for b in betas]
-    at_one = [Fraction(k) for k in range(n - 1)] + [
-        -alphas[-1] + sum(betas) - sum(alphas[:-1])
-    ]
-    return {
-        "0": sorted(at_zero),
-        "1": sorted(at_one),
-        "inf": sorted(alphas),
-    }
-
-
-# ---------------------------------------------------------------------------
-# quadratic-irrational parameters
-
-
-def _squarefree(d: int) -> bool:
-    d = abs(d)
-    f = 2
-    while f * f <= d:
-        if d % (f * f) == 0:
-            return False
-        f += 1
-    return True
-
-
-@dataclass(frozen=True)
-class QuadParam:
-    """Parameter a + b*sqrt(d) with rational a, b and squarefree d."""
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_fraction(self.a))
-        object.__setattr__(self, "b", as_fraction(self.b))
-        if self.b != 0:
-            if self.d in (0, 1) or not _squarefree(self.d):
-                raise InvalidParameters("d must be squarefree, not 0 or 1")
-
-    @staticmethod
-    def rational(q) -> "QuadParam":
-        return QuadParam(as_fraction(q), Fraction(0), 2)
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadParam):
-            return NotImplemented
-        if self.is_rational() and other.is_rational():
-            return self.a == other.a
-        return self.a == other.a and self.b == other.b and self.d == other.d
-
-
-def hypergeom_is_gfunction(
-    alphas: Sequence[QuadParam], betas: Sequence[QuadParam]
-) -> bool:
-    """Growth classification of the hypergeometric series with parameters in
-    Q or a fixed real quadratic field: true iff every parameter is rational,
-    or the irrational ones pair off as (alpha, beta) with alpha - beta a
-    nonnegative integer."""
-    alphas, betas = list(alphas), list(betas)
-    radicands = {p.d for p in alphas + betas if not p.is_rational()}
-    if len(radicands) > 1:
-        raise UnsupportedParameters(f"mixed radicands {sorted(radicands)}")
-    for b in betas:
-        if b.is_rational() and b.a.denominator == 1 and b.a <= 0:
-            raise InvalidParameters("non-positive integer beta")
-    for a in alphas:
-        for b in betas:
-            if a == b:
-                raise InvalidParameters("alpha equal to beta is excluded")
-    irr_a = [p for p in alphas if not p.is_rational()]
-    irr_b = [p for p in betas if not p.is_rational()]
-    if not irr_a and not irr_b:
-        return True
-    if len(irr_a) != len(irr_b):
-        return False
-
-    def pairs_ok(remaining_a, remaining_b):
-        if not remaining_a:
-            return True
-        a = remaining_a[0]
-        for i, b in enumerate(remaining_b):
-            diff_b = a.b - b.b
-            diff_a = a.a - b.a
-            if diff_b == 0 and diff_a.denominator == 1 and diff_a >= 0:
-                if pairs_ok(remaining_a[1:], remaining_b[:i] + remaining_b[i + 1 :]):
-                    return True
-        return False
-
-    return pairs_ok(irr_a, irr_b)
-
-
 # ---------------------------------------------------------------------------
 # other constructors and checks
 
@@ -246,63 +144,6 @@ def counterexample_theta2_minus_2() -> DiffOp:
     return DiffOp(Basis.THETA, [-2, 0, 1])
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    n_max: int
-    bound: Fraction
-    house_ok: bool
-    denominator_ok: bool
-    first_house_violation: Optional[int]
-    first_denominator_violation: Optional[int]
-    min_c_estimate: float
-
-    @property
-    def passed(self) -> bool:
-        return self.house_ok and self.denominator_ok
-
-
-def gfunction_growth_check(gen: CoeffGenerator, n_max: int, c) -> GrowthReport:
-    """Exact check of |a_n| <= C^(n+1) and den(a_0..a_n) <= C^(n+1) for all
-    n <= n_max, plus the smallest empirical C as a float."""
-    c = as_fraction(c)
-    coeffs = [gen.coeff(n) for n in range(n_max + 1)]
-    house_bad = den_bad = None
-    min_c = 0.0
-    den = 1
-    power = c
-    for n, a in enumerate(coeffs):
-        den = math.lcm(den, a.denominator)
-        if abs(a) > power and house_bad is None:
-            house_bad = n
-        if den > power and den_bad is None:
-            den_bad = n
-        worst = max(abs(a), Fraction(den))
-        if worst > 1:
-            min_c = max(min_c, float(worst) ** (1.0 / (n + 1)))
-        power *= c
-    return GrowthReport(
-        n_max=n_max,
-        bound=c,
-        house_ok=house_bad is None,
-        denominator_ok=den_bad is None,
-        first_house_violation=house_bad,
-        first_denominator_violation=den_bad,
-        min_c_estimate=min_c,
-    )
-
-
-def eisenstein_check(gen: CoeffGenerator, c: int, n_max: int) -> bool:
-    """True iff c^n a_n is an integer for all n <= n_max."""
-    if c < 1:
-        raise ValueError("c must be a positive integer")
-    scale = 1
-    for n in range(n_max + 1):
-        if (gen.coeff(n) * scale).denominator != 1:
-            return False
-        scale *= c
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the catalog proper
 
@@ -318,20 +159,22 @@ class CatalogEntry:
     ordinary_point: Fraction
 
 
+def _polylog_entry(s: int, entry_id: Optional[str] = None) -> CatalogEntry:
+    """The weight-s polylogarithm entry, under entry_id as spelled by the
+    caller (default polylog:<s>)."""
+    return CatalogEntry(
+        id=entry_id or f"polylog:{s}",
+        description=f"weight-{s} polylogarithm operator and its chain system",
+        operator=polylog_operator(s),
+        system=polylog_system(s),
+        components=polylog_components(s),
+        solution=CoeffGenerator("polylog", (s,)),
+        ordinary_point=Fraction(0) if s == 1 else Fraction(1, 2),
+    )
+
+
 def _entries() -> list[CatalogEntry]:
-    out = []
-    for s in (1, 2):
-        out.append(
-            CatalogEntry(
-                id=f"polylog:{s}",
-                description=f"weight-{s} polylogarithm operator and its chain system",
-                operator=polylog_operator(s),
-                system=polylog_system(s),
-                components=polylog_components(s),
-                solution=CoeffGenerator("polylog", (s,)),
-                ordinary_point=Fraction(0) if s == 1 else Fraction(1, 2),
-            )
-        )
+    out = [_polylog_entry(1), _polylog_entry(2)]
     out.append(
         CatalogEntry(
             id="gauss2f1",
@@ -399,31 +242,5 @@ def catalog_get(entry_id: str) -> CatalogEntry:
         s = int(entry_id.split(":", 1)[1])
         if s > POLYLOG_MAX_WEIGHT:
             raise ValueError(f"polylog weight must be <= {POLYLOG_MAX_WEIGHT}, got {s}")
-        return CatalogEntry(
-            id=entry_id,
-            description=f"weight-{s} polylogarithm operator and its chain system",
-            operator=polylog_operator(s),
-            system=polylog_system(s),
-            components=polylog_components(s),
-            solution=CoeffGenerator("polylog", (s,)),
-            ordinary_point=Fraction(0) if s == 1 else Fraction(1, 2),
-        )
+        return _polylog_entry(s, entry_id)
     raise KeyError(f"unknown catalog id {entry_id!r}")
-
-
-def catalog_systems() -> list[tuple[str, RatMat]]:
-    """The systems exercised by system-level invariants: the polylog chain
-    vectors and the polylog companion systems, plus the order-one examples.
-
-    The theta^2 - 2 and hypergeometric companions are deliberately absent:
-    their fundamental solutions are not analytic on the generic unit disk at
-    inert (resp. ramified) primes, so derivative-bound checks do not apply.
-    """
-    out = [
-        ("d-minus-1", RatMat([[1]])),
-        ("order1-half", companion(order1_g_operator([Fraction(1, 2)], [Fraction(1)]))),
-    ]
-    for s in (1, 2):
-        out.append((f"polylog:{s}:vector", polylog_system(s)))
-        out.append((f"polylog:{s}:companion", companion(polylog_operator(s))))
-    return out

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from decimal import Decimal
@@ -56,7 +55,7 @@ from .growth import (
     size_estimate,
 )
 from .local_analysis import IndicialData, OperatorProfile, classify_operator, exponents
-from .p_curvature import GlobalScan, global_scan, prime_report
+from .p_curvature import GlobalScan, global_scan
 from .pade import build_pade_system, pade_type2, residual_order, siegel_bound_report
 
 

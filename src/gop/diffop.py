@@ -2,9 +2,12 @@
 
 Operators are immutable coefficient vectors over Q(z) in one of two bases:
 powers of D = d/dz or powers of theta = z*d/dz.  The module also houses
-square matrices over Q(z) (RatMat, companion matrices) and truncated power
-series with explicit order bookkeeping.  The derived-matrix sequence G_s of a
-system lives in growth, which reads it off the cleared integer recurrence.
+square matrices over Q(z) (RatMat, and companion matrices, computed once per
+operator) and truncated power series with explicit order bookkeeping.  It
+holds no series solver and does not apply operators to series: power-series
+solutions come from local_analysis.regular_series_solutions.  The derived
+matrices G_s of a system live in growth, which reads them off the cleared
+integer recurrence.
 """
 
 from __future__ import annotations
@@ -14,12 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import (
-    DivisionByZeroOperator,
-    InsufficientTruncation,
-    NotOrdinaryPoint,
-    PoleAtOrigin,
-)
+from .errors import InsufficientTruncation
 from .exact_arith import (
     Poly,
     RatFn,
@@ -181,23 +179,6 @@ def op_pow(a: DiffOp, n: int) -> DiffOp:
     for _ in range(n):
         out = op_mul(out, a)
     return out
-
-
-def op_div_right(a: DiffOp, b: DiffOp) -> tuple[DiffOp, DiffOp]:
-    """Right Euclidean division: a = q*b + r with ord(r) < ord(b)."""
-    if b.is_zero():
-        raise DivisionByZeroOperator("right division by the zero operator")
-    basis = _check_same_basis(a, b)
-    q = DiffOp(basis)
-    r = a if a.basis is basis else DiffOp(basis, a.coeffs)
-    b = b if b.basis is basis else DiffOp(basis, b.coeffs)
-    while not r.is_zero() and r.order >= b.order:
-        k = r.order - b.order
-        c = r.leading() / b.leading()
-        term = DiffOp(basis, [RatFn.ZERO] * k + [c])
-        q = op_add(q, term)
-        r = op_sub(r, op_mul(term, b))
-    return q, r
 
 
 def change_basis(l: DiffOp, target: Basis) -> DiffOp:
@@ -366,6 +347,7 @@ def cleared_polynomial_coeffs(l: DiffOp) -> list[Poly]:
     return polys
 
 
+@lru_cache(maxsize=None)
 def companion(l: DiffOp) -> RatMat:
     """Companion matrix of the monic D-basis form: superdiagonal ones, last
     row (-a_n, ..., -a_1)."""
@@ -422,9 +404,6 @@ class TruncatedSeries:
     def derivative(self) -> "TruncatedSeries":
         return TruncatedSeries([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def theta(self) -> "TruncatedSeries":
-        return TruncatedSeries([i * c for i, c in enumerate(self.coeffs)])
-
     def __add__(self, other: "TruncatedSeries"):
         m = min(self.trunc_order, other.trunc_order)
         return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(m)])
@@ -449,111 +428,3 @@ class TruncatedSeries:
         shown = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.trunc_order > 6 else ""
         return f"TruncatedSeries([{shown}{tail}] mod z^{self.trunc_order})"
-
-
-def apply_operator(l: DiffOp, f: TruncatedSeries) -> TruncatedSeries:
-    """L(f), truncated to the provable order.
-
-    Derivatives in the D basis cost one order of certainty each; coefficient
-    poles at the origin cost their pole order.  If the result provably has a
-    nonzero coefficient at a negative power of z, PoleAtOrigin is raised."""
-    n = l.order
-    big_n = f.trunc_order
-    if l.is_zero():
-        return TruncatedSeries(f.coeffs)
-    if big_n <= n:
-        raise InsufficientTruncation("series order must exceed the operator order")
-    # operand series for each power of the symbol
-    operands = [f]
-    for j in range(1, n + 1):
-        prev = operands[-1]
-        operands.append(prev.derivative() if l.basis is Basis.D else prev.theta())
-    vals, laurents, certainties = {}, {}, {}
-    for j, c in enumerate(l.coeffs):
-        if c.is_zero():
-            continue
-        known = operands[j].trunc_order
-        v, _ = c.laurent_at_zero(1)
-        certainty = known + v
-        vals[j], certainties[j] = v, certainty
-    if not vals:
-        return TruncatedSeries(f.coeffs)
-    m = min(certainties.values())
-    if m <= 0:
-        raise InsufficientTruncation("operator poles exhaust the known precision")
-    min_v = min(0, min(vals.values()))
-    acc = {e: Fraction(0) for e in range(min_v, m)}
-    for j, v in vals.items():
-        series = operands[j]
-        _, lau = l.coeff(j).laurent_at_zero(m - v)
-        for i, lc in enumerate(lau):
-            if not lc:
-                continue
-            for k, sc in enumerate(series.coeffs):
-                e = v + i + k
-                if e >= m:
-                    break
-                if sc:
-                    acc[e] += lc * sc
-    for e in range(min_v, 0):
-        if acc[e]:
-            raise PoleAtOrigin(f"nonzero coefficient at z^{e}")
-    return TruncatedSeries([acc[e] for e in range(0, m)])
-
-
-def apply_to_power(l: DiffOp, s: int, depth: int = 8) -> tuple[int, list[Fraction]]:
-    """Leading data of L(z^s) for the monic theta form of L.
-
-    Returns (offset, [phi_0(s), ..., phi_{depth-1}(s)]) where
-    L(z^s) = z^offset * (phi_0(s) + phi_1(s) z + ...) and the offset is the
-    s-independent Laurent base m + s, so trailing zeros are meaningful."""
-    coeffs = monic_theta_coefficients(l)
-    n = len(coeffs)
-    m = 0
-    for a in coeffs:
-        if not a.is_zero():
-            m = min(m, a.order_at_zero())
-    q = RatFn.const(Fraction(s) ** n)
-    for j, a in enumerate(coeffs, start=1):
-        q = q + a * Fraction(s) ** (n - j)
-    if q.is_zero():
-        return m + s, [Fraction(0)] * depth
-    v, lau = q.laurent_at_zero(depth)
-    pad = v - m
-    out = [Fraction(0)] * pad + lau
-    return m + s, out[:depth]
-
-
-def ordinary_series_basis(l: DiffOp, order: int) -> list[TruncatedSeries]:
-    """n power-series solutions seeded z^i + O(z^n) at the ordinary point 0,
-    grown by the coefficient recurrence of L."""
-    ld = change_basis(l, Basis.D)
-    n = ld.order
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    polys = cleared_polynomial_coeffs(ld)
-    if polys[n].evaluate(0) == 0:
-        raise NotOrdinaryPoint("leading coefficient vanishes at 0")
-    # z^n L = sum_j B_j z^(n-j) [theta]_j, collected by powers of z
-    theta_polys = [Poly() for _ in range(n + 1)]
-    for j, b in enumerate(polys):
-        if b.is_zero():
-            continue
-        ff = falling_factorial_poly(j)
-        zb = b * Poly.x(n - j)
-        for k in range(ff.degree + 1):
-            if ff[k]:
-                theta_polys[k] = theta_polys[k] + zb * ff[k]
-    max_t = max((tp.degree for tp in theta_polys if not tp.is_zero()), default=0)
-    q_polys = [Poly([tp[t] for tp in theta_polys]) for t in range(max_t + 1)]
-    solutions = []
-    for seed in range(n):
-        a = [Fraction(1) if k == seed else Fraction(0) for k in range(n)]
-        for big_k in range(n, order):
-            rhs = Fraction(0)
-            for t in range(1, min(big_k, max_t) + 1):
-                rhs -= q_polys[t].evaluate(big_k - t) * a[big_k - t]
-            q0 = q_polys[0].evaluate(big_k)
-            a.append(rhs / q0)
-        solutions.append(TruncatedSeries(a[:order]))
-    return solutions

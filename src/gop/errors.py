@@ -21,18 +21,6 @@ class IrregularPoint(DomainError):
     """The requested local data only exists at regular singular points."""
 
 
-class NotOrdinaryPoint(DomainError):
-    """Power-series solution bases require an ordinary point."""
-
-
-class PoleAtOrigin(DomainError):
-    """Applying the operator produced genuinely negative powers of z."""
-
-
-class DivisionByZeroOperator(DomainError):
-    """Right division by the zero operator."""
-
-
 class NoSolution(DomainError):
     """The homogeneous linear system has only the trivial solution."""
 
@@ -43,10 +31,6 @@ class InsufficientTruncation(DomainError):
 
 class InvalidParameters(DomainError):
     """Hypergeometric parameters outside the allowed range."""
-
-
-class UnsupportedParameters(DomainError):
-    """Parameter combination outside the implemented quadratic setting."""
 
 
 class UsageError(Exception):

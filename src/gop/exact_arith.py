@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def as_fraction(x) -> Fraction:
@@ -62,21 +62,6 @@ def kummer_vp_factorial(n: int, p: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return (n - digit_sum_base(n, p)) // (p - 1)
-
-
-def lcm_upto(n: int) -> int:
-    """lcm(1, 2, ..., n)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return math.lcm(*range(1, n + 1))
-
-
-def common_denominator(values: Iterable[Fraction]) -> int:
-    """Smallest positive integer d with d*x integral for every x in values."""
-    values = [as_fraction(v) for v in values]
-    if not values:
-        raise ValueError("empty list")
-    return math.lcm(*(v.denominator for v in values))
 
 
 def accolade(s: int, m: int, p: int) -> int:
@@ -773,18 +758,6 @@ def gauss_valuation(f, prime: int):
     if f.is_zero():
         return GAUSS_INF
     return poly_gauss_valuation(f.num, prime) - poly_gauss_valuation(f.den, prime)
-
-
-def series_gauss_valuation(coeffs: Sequence[Fraction], prime: int):
-    """min v_p over supplied series coefficients; GAUSS_INF if all are zero.
-
-    For a rational function with no pole in the punctured open p-adic unit
-    disk this converges to the Gauss valuation as more terms are supplied.
-    """
-    vals = [vp_fraction(c, prime) for c in coeffs if c]
-    if not vals:
-        return GAUSS_INF
-    return min(vals)
 
 
 @lru_cache(maxsize=None)

@@ -41,12 +41,6 @@ from .exact_arith import (
 from .modp import ClearedSequenceMod
 
 
-def minimal_T(g: RatMat) -> Poly:
-    """Smallest common denominator of G, normalized so that both T and T*G
-    have integer coefficients: primitive integer form, positive leading."""
-    return Poly(cleared_system(g).t)
-
-
 @dataclass
 class _IntSystem:
     """Integer cleared form of a system plus the growing H_s list and the
@@ -237,21 +231,6 @@ class ExactLog:
             return "ExactLog(0)"
         body = " + ".join(f"{e}*log({p})" for p, e in self.terms.items())
         return f"ExactLog({body} = {self.to_float():.6f})"
-
-
-def exact_log_of_integer(n: int, prime_bound: int) -> ExactLog:
-    """log n as an ExactLog; all prime factors must be <= prime_bound."""
-    if n <= 0:
-        raise ValueError("positive integers only")
-    terms = {}
-    for p in primes_upto(prime_bound):
-        v = vp_int(n, p) if n % p == 0 else 0
-        if v:
-            terms[p] = Fraction(v)
-            n //= p**v
-    if n != 1:
-        raise ValueError(f"prime factor above the bound remains: {n}")
-    return ExactLog(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """p-curvature, nilpotence tests, and the global prime scan.
 
 Everything in characteristic p runs on one engine, ``modp.ClearedSequenceMod``,
-over integer polynomials whose denominators were cleared in characteristic
-zero.  At a good prime the p-curvature of y' = Gy is read off the cleared
-matrix H_p = T^p G_p mod p; T is nonzero mod p there, so H_p and G_p share
-the nilpotence verdict and index.  Nilpotence has two routes: the matrix
-power test (H_p)^n = 0, and right division of D^(pn) by L mod p, run as the
-row e_0 of the same recurrence for the cleared operator.  The scan records
-whether the two agree when an operator is available.
+over the integer cleared system (T, TG) of ``growth.cleared_system``, whose
+denominators were cleared once in characteristic zero.  A prime is bad
+exactly when T = 0 mod p, which by Gauss's lemma is when some entry of G has
+negative Gauss valuation.  At a good prime the p-curvature of y' = Gy is read
+off the cleared matrix H_p = T^p G_p mod p; T is nonzero mod p there, so H_p
+and G_p share the nilpotence verdict and index.  Nilpotence has two routes,
+both on the cleared system of the companion matrix when the subject is an
+operator: the matrix power test (H_p)^n = 0, and right division of D^(pn) by
+L mod p, run as the row e_0 of the same recurrence.  The scan records whether
+the two agree when an operator is available.
 
 Matrices over F_p[z] are ``FpMat`` blocks of shape (degree+1, n, n), the
 engine's own layout; their products convolve entry by entry.  The first
@@ -21,18 +24,22 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .diffop import DiffOp, RatMat, cleared_polynomial_coeffs, companion, monic_theta_coefficients
+from .diffop import DiffOp, RatMat, companion, monic_theta_coefficients
 from .errors import BadPrime, IrregularPoint
-from .exact_arith import gauss_valuation
 from .growth import cleared_system
 from .modp import ClearedSequenceMod, FpMat, reduce_ratfn_mod_p
 
 
-def _check_reducible(g: RatMat, p: int):
-    for row in g.entries:
-        for e in row:
-            if not e.is_zero() and gauss_valuation(e, p) < 0:
-                raise BadPrime(p, "entry with negative Gauss valuation")
+def _good_cleared_system(g: RatMat, p: int):
+    """cleared_system(g), or BadPrime when G does not reduce mod p."""
+    # T = d*T0 with T0 monic.  For p not dividing d, v_p(T) = 0; for p | d,
+    # the minimality of d gives min(v_p(T), v_p(TG)) = 0.  By Gauss's lemma
+    # some entry TG_ij / T of G has negative Gauss valuation exactly when
+    # p divides every coefficient of T.
+    sys = cleared_system(g)
+    if all(c % p == 0 for c in sys.t):
+        raise BadPrime(p, "entry with negative Gauss valuation")
+    return sys
 
 
 def p_curvature(g: RatMat, p: int) -> FpMat:
@@ -40,8 +47,7 @@ def p_curvature(g: RatMat, p: int) -> FpMat:
 
     T is nonzero mod p once every entry of G reduces, so (H_p)^k = T^(pk)
     G_p^k vanishes exactly when G_p^k does."""
-    _check_reducible(g, p)
-    sys = cleared_system(g)
+    sys = _good_cleared_system(g, p)
     return FpMat(p, ClearedSequenceMod(sys.t, sys.tg, p).goto(p))
 
 
@@ -66,27 +72,15 @@ def operator_nilpotence_by_division(l: DiffOp, p: int) -> bool:
         R_{k+1} = c_n shift(R_k) + c_n R_k' - k c_n' R_k - top(R_k) (c_0..c_{n-1}),
 
     which is the cleared recurrence for T = c_n, TG = c_n * companion(L),
-    started from the row e_0 at k = 0.  Since c_n is nonzero mod p, L divides
-    D^(pn) iff R_{pn} = 0 mod p."""
-    polys = cleared_polynomial_coeffs(l)
-    n = len(polys) - 1
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    scale = math.lcm(*(x.denominator for q in polys for x in q.coeffs))
-    ints = [[int(x * scale) for x in q.coeffs] for q in polys]
-    content = math.gcd(*(x for q in ints for x in q))
-    c = [[x // content for x in q] for q in ints]
-    # by Gauss's lemma some monic coefficient c_i/c_n has negative Gauss
-    # valuation exactly when p divides c_n
-    if all(x % p == 0 for x in c[n]):
-        raise BadPrime(p, "operator coefficient with negative Gauss valuation")
-    tg = [[[] for _ in range(n)] for _ in range(n)]
-    for i in range(n - 1):
-        tg[i][i + 1] = c[n]
-    tg[n - 1] = [[-x for x in ci] for ci in c[:n]]
-    start = [[[1]] + [[] for _ in range(n - 1)]]
-    seq = ClearedSequenceMod(c[n], tg, p, start=start, s=0)
-    seq.goto(p * n)
+    started from the row e_0 at k = 0.  Up to one common sign, which only
+    flips R_k by (-1)^k, that (T, TG) is the cleared system of companion(L).
+    Since c_n is nonzero mod p at a good prime (the check p_curvature makes),
+    L divides D^(pn) iff R_{pn} = 0 mod p."""
+    g = companion(l)
+    sys = _good_cleared_system(g, p)
+    start = [[[1]] + [[] for _ in range(g.n - 1)]]
+    seq = ClearedSequenceMod(sys.t, sys.tg, p, start=start, s=0)
+    seq.goto(p * g.n)
     return seq.is_zero()
 
 
@@ -130,8 +124,7 @@ def katz_honda_check(l: DiffOp, p: int) -> bool:
 def relation_gp_power_holds(g: RatMat, p: int, k_max: int) -> bool:
     """G_{pk} mod p == (G_p mod p)^k for k <= k_max, compared through the
     cleared polynomial forms (H_{pk} == H_p^k since both carry T^(pk))."""
-    _check_reducible(g, p)
-    sys = cleared_system(g)
+    sys = _good_cleared_system(g, p)
     seq = ClearedSequenceMod(sys.t, sys.tg, p)
     hp = FpMat(p, seq.goto(p))
     power = hp

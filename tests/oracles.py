@@ -1,13 +1,51 @@
 """Reference computations written straight from the definitions in RatMat /
-RatFn arithmetic, independent of the cleared integer recurrence that gop
-runs, and the list of systems they are checked on."""
+RatFn / DiffOp arithmetic, independent of the cleared integer recurrence that
+gop runs, helpers the tests compare gop against, and the list of systems
+they are checked on."""
 
 import math
 from fractions import Fraction
 
-from gop.catalog import CATALOG, catalog_systems
-from gop.diffop import RatMat, companion
-from gop.exact_arith import RatFn
+from gop.catalog import CATALOG, order1_g_operator, polylog_operator, polylog_system
+from gop.diffop import (
+    Basis,
+    DiffOp,
+    RatMat,
+    TruncatedSeries,
+    change_basis,
+    cleared_polynomial_coeffs,
+    companion,
+    monic_theta_coefficients,
+    op_add,
+    op_mul,
+    op_sub,
+)
+from gop.errors import InsufficientTruncation
+from gop.exact_arith import GAUSS_INF, RatFn, as_fraction, gauss_valuation, primes_upto, vp_fraction, vp_int
+from gop.growth import ExactLog
+from gop.local_analysis import regular_series_solutions
+from gop.modp import reduce_ratfn_mod_p
+
+# ---------------------------------------------------------------------------
+# the systems the invariants are checked on
+
+
+def catalog_systems():
+    """The systems exercised by system-level invariants: the polylog chain
+    vectors and the polylog companion systems, plus the order-one examples.
+
+    The theta^2 - 2 and hypergeometric companions are deliberately absent:
+    their fundamental solutions are not analytic on the generic unit disk at
+    inert (resp. ramified) primes, so derivative-bound checks do not apply.
+    """
+    out = [
+        ("d-minus-1", RatMat([[1]])),
+        ("order1-half", companion(order1_g_operator([Fraction(1, 2)], [Fraction(1)]))),
+    ]
+    for s in (1, 2):
+        out.append((f"polylog:{s}:vector", polylog_system(s)))
+        out.append((f"polylog:{s}:companion", companion(polylog_operator(s))))
+    return out
 
 
 def every_catalog_system():
@@ -19,6 +57,10 @@ def every_catalog_system():
         if entry.system is not None:
             out.append((f"{entry.id}:system", entry.system))
     return out
+
+
+# ---------------------------------------------------------------------------
+# derived matrices and towers
 
 
 def naive_gs_sequence(g: RatMat, s_max: int) -> list[RatMat]:
@@ -40,3 +82,192 @@ def naive_tower(ps, g: RatMat, t, h_max: int) -> list[list[RatFn]]:
         scale = RatFn(t) ** m * Fraction(1, math.factorial(m))
         out.append([scale * c for c in v])
     return out
+
+
+# ---------------------------------------------------------------------------
+# reduction mod p
+
+
+def gauss_rule_is_bad(g: RatMat, p: int) -> bool:
+    """The per-entry good-prime rule: some entry of G has negative Gauss
+    valuation at p."""
+    return any(not e.is_zero() and gauss_valuation(e, p) < 0 for row in g.entries for e in row)
+
+
+def op_div_right(a: DiffOp, b: DiffOp) -> tuple[DiffOp, DiffOp]:
+    """Right Euclidean division: a = q*b + r with ord(r) < ord(b)."""
+    if b.is_zero():
+        raise ValueError("right division by the zero operator")
+    if a.order > 0 and b.order > 0 and a.basis is not b.basis:
+        raise ValueError("operator product across bases; convert explicitly")
+    basis = b.basis if a.order <= 0 else a.basis
+    q = DiffOp(basis)
+    r = DiffOp(basis, a.coeffs)
+    b = DiffOp(basis, b.coeffs)
+    while not r.is_zero() and r.order >= b.order:
+        k = r.order - b.order
+        c = r.leading() / b.leading()
+        term = DiffOp(basis, [RatFn.ZERO] * k + [c])
+        q = op_add(q, term)
+        r = op_sub(r, op_mul(term, b))
+    return q, r
+
+
+def naive_division_vanishes(l: DiffOp, p: int) -> bool:
+    """True iff the remainder of D^(p*ord L) on right division by L in Q(z)
+    vanishes mod p.  BadPrime when a coefficient of the monic D-basis form of
+    L does not reduce mod p."""
+    ld = change_basis(l, Basis.D).monic()
+    for c in ld.coeffs:
+        reduce_ratfn_mod_p(c, p)
+    d = DiffOp(Basis.D, [0, 1])
+    r = DiffOp(Basis.D, [1])
+    for _ in range(p * ld.order):
+        r = op_div_right(op_mul(d, r), ld)[1]
+    return all(not reduce_ratfn_mod_p(c, p)[0] for c in r.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# operators on series
+
+
+def _theta(f: TruncatedSeries) -> TruncatedSeries:
+    return TruncatedSeries([i * c for i, c in enumerate(f.coeffs)])
+
+
+def apply_operator(l: DiffOp, f: TruncatedSeries) -> TruncatedSeries:
+    """L(f), truncated to the provable order.
+
+    Derivatives in the D basis cost one order of certainty each; coefficient
+    poles at the origin cost their pole order.  If the result provably has a
+    nonzero coefficient at a negative power of z, ValueError is raised."""
+    n = l.order
+    big_n = f.trunc_order
+    if l.is_zero():
+        return TruncatedSeries(f.coeffs)
+    if big_n <= n:
+        raise InsufficientTruncation("series order must exceed the operator order")
+    # operand series for each power of the symbol
+    operands = [f]
+    for j in range(1, n + 1):
+        prev = operands[-1]
+        operands.append(prev.derivative() if l.basis is Basis.D else _theta(prev))
+    vals, certainties = {}, {}
+    for j, c in enumerate(l.coeffs):
+        if c.is_zero():
+            continue
+        v, _ = c.laurent_at_zero(1)
+        vals[j], certainties[j] = v, operands[j].trunc_order + v
+    if not vals:
+        return TruncatedSeries(f.coeffs)
+    m = min(certainties.values())
+    if m <= 0:
+        raise InsufficientTruncation("operator poles exhaust the known precision")
+    min_v = min(0, min(vals.values()))
+    acc = {e: Fraction(0) for e in range(min_v, m)}
+    for j, v in vals.items():
+        series = operands[j]
+        _, lau = l.coeff(j).laurent_at_zero(m - v)
+        for i, lc in enumerate(lau):
+            if not lc:
+                continue
+            for k, sc in enumerate(series.coeffs):
+                e = v + i + k
+                if e >= m:
+                    break
+                if sc:
+                    acc[e] += lc * sc
+    for e in range(min_v, 0):
+        if acc[e]:
+            raise ValueError(f"nonzero coefficient at z^{e}")
+    return TruncatedSeries([acc[e] for e in range(0, m)])
+
+
+def apply_to_power(l: DiffOp, s: int, depth: int = 8) -> tuple[int, list[Fraction]]:
+    """Leading data of L(z^s) for the monic theta form of L.
+
+    Returns (offset, [phi_0(s), ..., phi_{depth-1}(s)]) where
+    L(z^s) = z^offset * (phi_0(s) + phi_1(s) z + ...) and the offset is the
+    s-independent Laurent base m + s, so trailing zeros are meaningful."""
+    coeffs = monic_theta_coefficients(l)
+    n = len(coeffs)
+    m = 0
+    for a in coeffs:
+        if not a.is_zero():
+            m = min(m, a.order_at_zero())
+    q = RatFn.const(Fraction(s) ** n)
+    for j, a in enumerate(coeffs, start=1):
+        q = q + a * Fraction(s) ** (n - j)
+    if q.is_zero():
+        return m + s, [Fraction(0)] * depth
+    v, lau = q.laurent_at_zero(depth)
+    out = [Fraction(0)] * (v - m) + lau
+    return m + s, out[:depth]
+
+
+def ordinary_series_basis(l: DiffOp, order: int) -> list[TruncatedSeries]:
+    """The n power-series solutions z^i + O(z^n), i < n, at the ordinary
+    point 0, from local_analysis.regular_series_solutions.  ValueError when
+    the leading coefficient of L vanishes at 0."""
+    polys = cleared_polynomial_coeffs(l)
+    n = len(polys) - 1
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    if polys[n].evaluate(0) == 0:
+        raise ValueError("leading coefficient vanishes at 0")
+    solutions = regular_series_solutions(l, list(range(n)), order)
+    return [TruncatedSeries([sol.get(k, 0) for k in range(order)]) for sol in solutions]
+
+
+# ---------------------------------------------------------------------------
+# integers, valuations and exponents
+
+
+def lcm_upto(n: int) -> int:
+    """lcm(1, 2, ..., n)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return math.lcm(*range(1, n + 1))
+
+
+def exact_log_of_integer(n: int, prime_bound: int) -> ExactLog:
+    """log n as an ExactLog; all prime factors must be <= prime_bound."""
+    if n <= 0:
+        raise ValueError("positive integers only")
+    terms = {}
+    for p in primes_upto(prime_bound):
+        v = vp_int(n, p) if n % p == 0 else 0
+        if v:
+            terms[p] = Fraction(v)
+            n //= p**v
+    if n != 1:
+        raise ValueError(f"prime factor above the bound remains: {n}")
+    return ExactLog(terms)
+
+
+def series_gauss_valuation(coeffs, prime: int):
+    """min v_p over supplied series coefficients; GAUSS_INF if all are zero.
+
+    For a rational function with no pole in the punctured open p-adic unit
+    disk this converges to the Gauss valuation as more terms are supplied.
+    """
+    vals = [vp_fraction(c, prime) for c in coeffs if c]
+    if not vals:
+        return GAUSS_INF
+    return min(vals)
+
+
+def hypergeom_expected_exponents(alphas, betas) -> dict:
+    """The three local exponent lists of the hypergeometric operator."""
+    alphas = [as_fraction(a) for a in alphas]
+    betas = [as_fraction(b) for b in betas]
+    n = len(alphas)
+    at_zero = [Fraction(0)] + [1 - b for b in betas]
+    at_one = [Fraction(k) for k in range(n - 1)] + [
+        -alphas[-1] + sum(betas) - sum(alphas[:-1])
+    ]
+    return {
+        "0": sorted(at_zero),
+        "1": sorted(at_one),
+        "inf": sorted(alphas),
+    }

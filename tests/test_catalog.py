@@ -1,4 +1,4 @@
-"""Catalog constructors, growth checks, quadratic-parameter classification."""
+"""Catalog constructors, their series and the catalog surface."""
 
 from fractions import Fraction
 
@@ -7,13 +7,8 @@ import pytest
 from gop.catalog import (
     CATALOG,
     CoeffGenerator,
-    QuadParam,
     catalog_get,
-    catalog_systems,
     counterexample_theta2_minus_2,
-    eisenstein_check,
-    gfunction_growth_check,
-    hypergeom_is_gfunction,
     hypergeom_operator,
     hypergeom_series,
     order1_g_operator,
@@ -22,11 +17,12 @@ from gop.catalog import (
     polylog_system,
 )
 from gop.cli import parse_operator
-from gop.diffop import Basis, DiffOp, apply_operator, companion, translate_to_point
-from gop.errors import InvalidParameters, UnsupportedParameters
+from gop.diffop import Basis, translate_to_point
+from gop.errors import InvalidParameters
 from gop.exact_arith import Poly, RatFn, primes_upto
 from gop.local_analysis import classify_operator, exponents
 from gop.p_curvature import global_scan
+from oracles import apply_operator, catalog_systems, ordinary_series_basis
 
 
 def test_polylog_operator_examples():
@@ -96,28 +92,6 @@ def test_hypergeom_series_annihilated():
     assert out.valuation() is None and out.trunc_order >= 20
 
 
-def test_hypergeom_is_gfunction_examples():
-    sqrt2 = QuadParam(0, 1, 2)
-    sqrt2p1 = QuadParam(1, 1, 2)
-    half = QuadParam.rational(Fraction(1, 2))
-    one = QuadParam.rational(1)
-    assert hypergeom_is_gfunction([sqrt2p1, half], [sqrt2]) is True
-    assert hypergeom_is_gfunction([sqrt2, one], [sqrt2p1]) is False
-    assert hypergeom_is_gfunction([half, one], [QuadParam.rational(Fraction(5, 4))]) is True
-    with pytest.raises(UnsupportedParameters):
-        hypergeom_is_gfunction([QuadParam(0, 1, 2), one], [QuadParam(0, 1, 3)])
-    with pytest.raises(InvalidParameters):
-        hypergeom_is_gfunction([sqrt2], [sqrt2])
-
-
-def test_quadparam_validation():
-    with pytest.raises(InvalidParameters):
-        QuadParam(0, 1, 4)
-    with pytest.raises(InvalidParameters):
-        QuadParam(0, 1, 1)
-    assert QuadParam(Fraction(1, 2), 0, 12).is_rational()
-
-
 def test_order1_examples():
     op = order1_g_operator([Fraction(1, 2)], [Fraction(1)])
     rat, irr = exponents(op, 1)
@@ -126,32 +100,6 @@ def test_order1_examples():
     f0 = order1_g_operator([Fraction(-3, 2), Fraction(1, 2)], [1, Fraction(4, 3)])
     rat, _ = exponents(f0, 1)
     assert rat == [Fraction(-3, 2)]
-
-
-def test_growth_check_examples():
-    li2 = CoeffGenerator("polylog", (2,))
-    # d_n <= e^(1.1 n) covers the lcm at weight one; weight two needs e^(2.2)
-    e11 = Fraction(300418, 100000)  # just above e^1.1
-    e22 = Fraction(902502, 100000)  # just above e^2.2
-    assert gfunction_growth_check(li2, 100, e22).passed
-    report = gfunction_growth_check(li2, 100, e11)
-    assert not report.denominator_ok and report.house_ok
-    li1 = CoeffGenerator("polylog", (1,))
-    assert gfunction_growth_check(li1, 100, e11).passed
-    fact = CoeffGenerator("factorial")
-    rep = gfunction_growth_check(fact, 30, e11)
-    assert not rep.house_ok and rep.first_house_violation <= 12
-    ones = CoeffGenerator("geometric")
-    assert gfunction_growth_check(ones, 50, Fraction(1)).passed
-
-
-def test_eisenstein_examples():
-    sqrt_series = CoeffGenerator("sqrt_one_minus_z")
-    assert eisenstein_check(sqrt_series, 4, 50)
-    li2 = CoeffGenerator("polylog", (2,))
-    for c in (1, 4, 30, 1000000, 223092):
-        assert not eisenstein_check(li2, c, 50), c
-    assert eisenstein_check(CoeffGenerator("constant", (7,)), 1, 20)
 
 
 def test_counterexample_profile():
@@ -186,8 +134,6 @@ def test_catalog_surface():
 
 
 def test_catalog_ordinary_points_are_ordinary():
-    from gop.diffop import ordinary_series_basis
-
     for entry in CATALOG.values():
         lt = translate_to_point(entry.operator, entry.ordinary_point)
         basis = ordinary_series_basis(lt, 10)

@@ -13,19 +13,17 @@ from gop.exact_arith import (
     Poly,
     RatFn,
     accolade,
-    common_denominator,
     PRIME_CHECK_BOUND,
     gauss_valuation,
     is_infinite,
     is_prime,
     kummer_vp_factorial,
-    lcm_upto,
     poly_gcd,
     primes_upto,
     resultant,
-    series_gauss_valuation,
     vp_fraction,
 )
+from oracles import lcm_upto, series_gauss_valuation
 
 PRIMES = (2, 3, 5)
 
@@ -110,14 +108,6 @@ def test_lcm_upto():
 def test_lcm_growth_chebyshev():
     ratio = math.log(lcm_upto(100)) / 100
     assert 0.90 <= ratio <= 1.05
-
-
-def test_common_denominator():
-    assert common_denominator([Fraction(1, 2), Fraction(1, 3)]) == 6
-    assert common_denominator([Fraction(0), Fraction(5)]) == 1
-    assert common_denominator([Fraction(1, 4), Fraction(3, 8), Fraction(5, 6)]) == 24
-    with pytest.raises(ValueError):
-        common_denominator([])
 
 
 # -- valuation axioms

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 from gop import growth
-from gop.catalog import catalog_systems, polylog_operator, polylog_system
+from gop.catalog import polylog_operator, polylog_system
 from gop.cli import parse_operator
 from gop.diffop import RatMat, companion
 from gop.exact_arith import (
@@ -13,7 +13,6 @@ from gop.exact_arith import (
     gauss_valuation,
     is_infinite,
     kummer_vp_factorial,
-    lcm_upto,
     primes_upto,
     vp_int,
 )
@@ -22,10 +21,8 @@ from gop.growth import (
     bombieri_report,
     cleared_system,
     dwork_robba_check,
-    exact_log_of_integer,
     galochkin_trace,
     h_s_p,
-    minimal_T,
     nilpotence_valuation_bound,
     radius_estimate,
     size_estimate,
@@ -33,7 +30,7 @@ from gop.growth import (
 from gop.modp import ClearedSequenceMod, block_entries
 from gop.p_curvature import is_nilpotent, p_curvature
 from gop.errors import BadPrime
-from oracles import every_catalog_system, naive_gs_sequence
+from oracles import catalog_systems, every_catalog_system, exact_log_of_integer, lcm_upto, naive_gs_sequence
 
 LI1_COMP = companion(polylog_operator(1))
 LI2_SYS = polylog_system(2)
@@ -41,9 +38,9 @@ ONE_SYS = RatMat([[1]])
 
 
 def test_minimal_T_examples():
-    assert minimal_T(LI1_COMP) == Poly([-1, 1])
-    assert minimal_T(RatMat([[Poly([0, 2]), 1], [3, Poly([5])]])) == Poly.ONE
-    assert minimal_T(RatMat([[RatFn(Poly.ONE, Poly([0, 2]))]])) == Poly([0, 2])
+    assert Poly(cleared_system(LI1_COMP).t) == Poly([-1, 1])
+    assert Poly(cleared_system(RatMat([[Poly([0, 2]), 1], [3, Poly([5])]])).t) == Poly.ONE
+    assert Poly(cleared_system(RatMat([[RatFn(Poly.ONE, Poly([0, 2]))]])).t) == Poly([0, 2])
 
 
 def test_galochkin_trace_log_companion():
@@ -66,7 +63,7 @@ def test_galochkin_brute_force_cross_check():
     # independent route: reduce T^m G_m / m! entrywise, G_m from the naive
     # recurrence in Q(z)
     for g in (LI1_COMP, LI2_SYS):
-        t = RatFn(minimal_T(g))
+        t = RatFn(Poly(cleared_system(g).t))
         seq = naive_gs_sequence(g, 15)
         q = 1
         fact = 1

@@ -7,7 +7,6 @@ import pytest
 
 from gop.catalog import (
     counterexample_theta2_minus_2,
-    hypergeom_expected_exponents,
     hypergeom_operator,
     order1_g_operator,
     polylog_operator,
@@ -23,6 +22,7 @@ from gop.local_analysis import (
     fuchs_test,
     indicial_polynomial,
 )
+from oracles import apply_to_power, hypergeom_expected_exponents
 
 G2F1 = hypergeom_operator([Fraction(1, 2), Fraction(1, 2)], [Fraction(1)])
 
@@ -123,8 +123,6 @@ def test_left_multiplication_preserves_exponents():
 
 
 def test_apply_to_power_matches_indicial():
-    from gop.diffop import apply_to_power
-
     for l in (G2F1, counterexample_theta2_minus_2(), parse_operator("theta^3 - z*theta")):
         phi = indicial_polynomial(l, 0)
         for s in range(-3, 4):

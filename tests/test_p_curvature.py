@@ -1,5 +1,6 @@
 """Reduction mod p, p-curvature, nilpotence tests, scans."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,17 +9,16 @@ import pytest
 from gop.catalog import (
     CATALOG,
     catalog_get,
-    catalog_systems,
     counterexample_theta2_minus_2,
     order1_g_operator,
     polylog_operator,
     polylog_system,
 )
 from gop.cli import parse_operator
-from gop.diffop import RatMat, companion
+from gop.diffop import Basis, DiffOp, RatMat, companion
 from gop.errors import BadPrime, IrregularPoint
 from gop.exact_arith import Poly, RatFn, primes_upto
-from gop.growth import cleared_system, minimal_T
+from gop.growth import cleared_system
 from gop.modp import ClearedSequenceMod, block_entries, reduce_poly_mod_p, reduce_ratfn_mod_p
 from gop.p_curvature import (
     FpMat,
@@ -29,7 +29,13 @@ from gop.p_curvature import (
     p_curvature,
     relation_gp_power_holds,
 )
-from oracles import naive_gs_sequence
+from oracles import (
+    catalog_systems,
+    every_catalog_system,
+    gauss_rule_is_bad,
+    naive_division_vanishes,
+    naive_gs_sequence,
+)
 
 
 def test_reduce_ratfn_examples():
@@ -136,7 +142,7 @@ def test_reduction_commutes_with_recurrence():
                      ("li1comp", companion(polylog_operator(1)))]:
         char0 = naive_gs_sequence(g, 20)
         sys = cleared_system(g)
-        t = minimal_T(g)
+        t = Poly(sys.t)
         for p in (3, 7):
             seq = ClearedSequenceMod(sys.t, sys.tg, p)
             for s in range(1, 21):
@@ -159,6 +165,54 @@ def test_matrix_and_division_agree_catalog():
             except BadPrime:
                 continue
             assert mat == div, (entry_id, p)
+
+
+def _drawn_operator(rng, basis):
+    """An operator of order 1..3 with polynomial coefficients whose
+    rational coefficients have denominators dividing 6."""
+    order = rng.randint(1, 3)
+    coeffs = [
+        Poly([Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 6))) for _ in range(rng.randint(1, 3))])
+        for _ in range(order + 1)
+    ]
+    if coeffs[-1].is_zero():
+        coeffs[-1] = Poly([rng.choice((2, 3, 6)), rng.randint(-3, 3)])
+    return DiffOp(basis, coeffs)
+
+
+def test_division_matches_naive_remainder():
+    # the division test against the remainder of D^(pn) by L computed in Q(z)
+    # and reduced mod p; polylog:2 at p = 7 alone takes about 20 s there
+    cases = [(entry_id, p) for entry_id in CATALOG for p in (2, 3, 5)]
+    cases += [(entry_id, 7) for entry_id in ("gauss2f1", "theta2m2", "d-minus-1", "order1-half")]
+    for entry_id, p in cases:
+        op = CATALOG[entry_id].operator
+        try:
+            want = naive_division_vanishes(op, p)
+        except BadPrime:
+            with pytest.raises(BadPrime):
+                operator_nilpotence_by_division(op, p)
+            continue
+        assert operator_nilpotence_by_division(op, p) == want, (entry_id, p)
+
+
+def test_good_prime_rule_matches_gauss_valuation():
+    # p divides every coefficient of T exactly when some entry of G has
+    # negative Gauss valuation at p
+    rng = random.Random(60)
+    systems = list(every_catalog_system())
+    for basis in (Basis.D, Basis.THETA):
+        for k in range(12):
+            systems.append((f"drawn:{basis.value}:{k}", companion(_drawn_operator(rng, basis))))
+    for label, g in systems:
+        for p in primes_upto(60):
+            bad = gauss_rule_is_bad(g, p)
+            try:
+                p_curvature(g, p)
+            except BadPrime as exc:
+                assert bad and "entry with negative Gauss valuation" in str(exc), (label, p)
+            else:
+                assert not bad, (label, p)
 
 
 def test_katz_honda_necessary_condition():

@@ -9,7 +9,7 @@ from gop.catalog import CoeffGenerator, polylog_components, polylog_system
 from gop.diffop import RatMat, TruncatedSeries
 from gop.errors import InsufficientTruncation, NoSolution
 from gop.exact_arith import Poly, RatFn
-from gop.growth import minimal_T
+from gop.growth import cleared_system
 from gop.pade import (
     build_pade_system,
     derived_tower,
@@ -75,7 +75,7 @@ def test_residual_zero_vector():
 def test_derived_tower_examples():
     f, g = li_system_data(1, 30)
     q, ps = pade_type2(f, 6, 3)
-    t = minimal_T(g)
+    t = Poly(cleared_system(g).t)
     tower = derived_tower(ps, g, 3)
     assert tower[0] == list(ps)
     # m = 1 entry is T (P' - G P), degree <= N + t
@@ -95,7 +95,7 @@ def test_derived_tower_examples():
 def test_tower_matches_definition():
     # P_m = T^m/m! (D - G)^m P for m <= 6, the right side in Q(z)
     for label, g in every_catalog_system():
-        t = minimal_T(g)
+        t = Poly(cleared_system(g).t)
         rational = [Poly([Fraction(2, 3), Fraction(-5, 7 + i), Fraction(1, 4)]) for i in range(g.n)]
         for ps in (rational, [Poly()] * g.n):
             want = naive_tower(ps, g, t, 6)
@@ -108,7 +108,7 @@ def test_cascade_orders():
     f, g = li_system_data(2, 40)
     big_n, big_m = 12, 4
     q, ps = pade_type2(f, big_n, big_m)
-    t = minimal_T(g)
+    t = Poly(cleared_system(g).t)
     tower = derived_tower(ps, g, 5)
     tpoly = t
     qm = Poly(q.coeffs)
@@ -135,7 +135,7 @@ def test_cascade_orders():
 def test_degree_bound_tower():
     f, g = li_system_data(2, 40)
     q, ps = pade_type2(f, 12, 4)
-    t = minimal_T(g)
+    t = Poly(cleared_system(g).t)
     tdeg = max(t.degree, max((RatFn(t) * e).as_poly().degree for row in g.entries for e in row if not e.is_zero()))
     tower = derived_tower(ps, g, 6)
     for m, vec in enumerate(tower):
@@ -148,7 +148,7 @@ def test_tower_integrality_within_range():
     f, g = li_system_data(1, 30)
     big_n, big_m = 6, 3
     q, ps = pade_type2(f, big_n, big_m)
-    t = minimal_T(g)
+    t = Poly(cleared_system(g).t)
     tdeg = max(t.degree, max((RatFn(t) * e).as_poly().degree for row in g.entries for e in row if not e.is_zero()))
     d = 1
     for comp in f:

@@ -1,0 +1,103 @@
+"""The public surface of `gop`: every public module-level name in
+src/gop/*.py is used inside the package, or is one of the paper-identity
+checks listed below; and no module imports a name it never uses.
+Reference implementations that only tests need live in tests/oracles.py."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gop"
+
+# public names no other code in src reaches, kept because each checks an
+# identity of the paper and the tests run it
+PAPER_IDENTITIES = {
+    "relation_gp_power_holds": "G_{pk} = G_p^k mod p, Katz's relation between p-curvatures",
+    "dwork_robba_check": "the Dwork-Robba derivative bounds for systems",
+    "verify_similileibniz": "the Leibniz rearrangement of the derived Pade tower",
+    "katz_honda_check": "Katz's indicial test: nilpotence forces a split indicial polynomial mod p",
+    "nilpotence_valuation_bound": "v(G_{pns}) >= s for a system nilpotent mod p",
+}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    }
+
+
+def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Public module-level name -> the statement that defines it."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                out[name] = node
+    return out
+
+
+def _names_used(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every Name read in tree, outside the subtree skip."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _imports(tree: ast.Module):
+    """(source module, imported name, bound name) for every import in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            source = (node.module or "").rpartition(".")[2] if node.level else node.module
+            for alias in node.names:
+                yield source, alias.name, alias.asname or alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None, (alias.asname or alias.name).split(".")[0]
+
+
+def test_every_public_name_is_used_in_src():
+    modules = _modules()
+    imported = {(source, name) for tree in modules.values() for source, name, _ in _imports(tree)}
+    unused = []
+    for module, tree in modules.items():
+        for name, node in _definitions(tree).items():
+            if name in PAPER_IDENTITIES or (module, name) in imported:
+                continue
+            if name not in _names_used(tree, skip=node):
+                unused.append(f"{module}.{name}")
+    assert not unused, f"public names only tests reach (move them to tests/oracles.py): {unused}"
+
+
+def test_paper_identities_exist_and_are_not_used_in_src():
+    modules = _modules()
+    defined = {name for tree in modules.values() for name in _definitions(tree)}
+    assert set(PAPER_IDENTITIES) <= defined
+    imported = {name for tree in modules.values() for _, name, _ in _imports(tree)}
+    # an allow-list entry that src itself reaches no longer needs to be here
+    assert not set(PAPER_IDENTITIES) & imported
+
+
+def test_no_unused_imports():
+    unused = []
+    for module, tree in _modules().items():
+        used = _names_used(tree)
+        for _, _, bound in _imports(tree):
+            if bound not in used:
+                unused.append(f"{module}: {bound}")
+    assert not unused, f"imports never used: {unused}"
