@@ -28,7 +28,6 @@ from .diffop import (
     op_mul,
     op_pow,
     op_sub,
-    translate_to_point,
 )
 from .exact_arith import (
     GAUSS_INF,
@@ -54,8 +53,7 @@ from .local_analysis import (
     SingularPoint,
     classify_operator,
     exponents,
-    fuchs_test,
-    indicial_polynomial,
+    indicial_data,
 )
 from .modp import reduce_ratfn_mod_p
 from .p_curvature import (

@@ -34,6 +34,7 @@ from .diffop import (
     TruncatedSeries,
     companion,
     is_infinity,
+    operator_text,
 )
 from .errors import DomainError, MixedBasisError, ParseError, UsageError
 from .exact_arith import (
@@ -43,7 +44,6 @@ from .exact_arith import (
     is_prime,
     poly_text,
     primes_upto,
-    ratfn_text,
 )
 from .growth import (
     ExactLog,
@@ -55,7 +55,7 @@ from .growth import (
     size_estimate,
 )
 from .local_analysis import IndicialData, OperatorProfile, classify_operator, exponents
-from .p_curvature import GlobalScan, global_scan
+from .p_curvature import GlobalScan, global_scan, prime_report
 from .pade import build_pade_system, pade_type2, residual_order, siegel_bound_report
 
 
@@ -246,26 +246,6 @@ def parse_operator(text: str) -> DiffOp:
     return _Parser(text).parse()
 
 
-def operator_text(l: DiffOp) -> str:
-    """Canonical rendering, parseable by parse_operator."""
-    if l.is_zero():
-        return "0"
-    sym = "D" if l.basis is Basis.D else "theta"
-    parts = []
-    for k in range(l.order, -1, -1):
-        c = l.coeff(k)
-        if c.is_zero():
-            continue
-        coeff = f"({ratfn_text(c)})"
-        if k == 0:
-            parts.append(coeff)
-        elif k == 1:
-            parts.append(f"{coeff}*{sym}")
-        else:
-            parts.append(f"{coeff}*{sym}^{k}")
-    return " + ".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -438,17 +418,35 @@ def _resolve_system(args) -> tuple[str, RatMat]:
     raise UsageError("need an operator expression or --catalog ID")
 
 
+def _series_integer(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        return int(value)
+    raise ValueError(f"not an integer: {value!r}")
+
+
 def _load_series_file(path: str) -> list[TruncatedSeries]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    order = data["trunc_order"]
-    out = []
-    for comp in data["components"]:
-        coeffs = [Fraction(int(num), int(den)) for num, den in comp]
-        if len(coeffs) != order:
-            raise UsageError("component length does not match trunc_order")
-        out.append(TruncatedSeries(coeffs))
-    return out
+    """The series vector of a JSON file {"trunc_order": N, "components":
+    [[[num, den], ...], ...]}, integers given as JSON integers or strings;
+    UsageError for a file that cannot be read or does not have that shape."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        order = data["trunc_order"]
+        components = [
+            [Fraction(_series_integer(num), _series_integer(den)) for num, den in comp]
+            for comp in data["components"]
+        ]
+    except OSError as exc:
+        raise UsageError(f"cannot read series file {path!r}: {exc.strerror}") from exc
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise UsageError(f"malformed series file {path!r}: {type(exc).__name__}: {exc}") from exc
+    if not components:
+        raise UsageError("series file has no components")
+    if any(len(coeffs) != order for coeffs in components):
+        raise UsageError("component length does not match trunc_order")
+    return [TruncatedSeries(coeffs) for coeffs in components]
 
 
 # ---------------------------------------------------------------------------
@@ -474,20 +472,15 @@ def _cmd_exponents(args) -> dict:
 
 def _cmd_pcurv(args) -> dict:
     # single-prime detail: BadPrime propagates (exit 2), unlike in scans
-    from .p_curvature import is_nilpotent, operator_nilpotence_by_division, p_curvature
-
     _check_prime(args.prime)
     label, op = _resolve_operator(args)
-    g = companion(op)
-    gp = p_curvature(g, args.prime)
-    nil, index = is_nilpotent(gp)
-    division = operator_nilpotence_by_division(op, args.prime)
+    report = prime_report(companion(op), args.prime, op)
     return {
         "input": label,
         "prime": args.prime,
-        "status": "Nilpotent" if nil else "NonNilpotent",
-        "nilpotence_index": index,
-        "method_agreement": division == nil,
+        "status": report.status,
+        "nilpotence_index": report.nilpotence_index,
+        "method_agreement": report.method_agreement,
     }
 
 
@@ -700,17 +693,27 @@ def _render_text(value, indent=0) -> list[str]:
     return lines
 
 
-def run_command(argv) -> tuple[int, dict]:
-    """Dispatch one command; returns (exit code, envelope)."""
-    parser = _build_argparser()
+def run_command(argv, emit=None) -> tuple[int, dict]:
+    """Dispatch one command; returns (exit code, envelope).  With emit, the
+    envelope is also rendered in the --format the command line asks for and
+    handed to emit as one string."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_argparser().parse_args(argv)
     except SystemExit as exc:
         return (0 if exc.code == 0 else 1), {}
+    code, envelope = _dispatch(args)
+    if emit is not None:
+        if args.format == "text":
+            emit("\n".join(_render_text(envelope)))
+        else:
+            emit(json.dumps(envelope, indent=2))
+    return code, envelope
+
+
+def _dispatch(args) -> tuple[int, dict]:
     started = time.perf_counter()
     try:
         result = _COMMANDS[args.command](args)
-        code = 0
     except UsageError as exc:
         return 1, {
             "tool": "gop",
@@ -733,23 +736,11 @@ def run_command(argv) -> tuple[int, dict]:
         "result": result,
         "timing_ms": int((time.perf_counter() - started) * 1000),
     }
-    return code, envelope
+    return 0, envelope
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    fmt = "json"
-    if "--format" in argv:
-        idx = argv.index("--format")
-        if idx + 1 < len(argv):
-            fmt = argv[idx + 1]
-            del argv[idx : idx + 2]
-    code, envelope = run_command(argv)
-    if envelope:
-        if fmt == "text":
-            print("\n".join(_render_text(envelope)))
-        else:
-            print(json.dumps(envelope, indent=2))
+    code, _ = run_command(sys.argv[1:] if argv is None else argv, emit=print)
     return code
 
 

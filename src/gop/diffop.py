@@ -1,11 +1,14 @@
 """The non-commutative operator algebra Q(z)[d/dz] = Q(z)[theta].
 
 Operators are immutable coefficient vectors over Q(z) in one of two bases:
-powers of D = d/dz or powers of theta = z*d/dz.  The module also houses
-square matrices over Q(z) (RatMat, and companion matrices, computed once per
-operator) and truncated power series with explicit order bookkeeping.  It
-holds no series solver and does not apply operators to series: power-series
-solutions come from local_analysis.regular_series_solutions.  The derived
+powers of D = d/dz or powers of theta = z*d/dz, with one canonical text
+rendering (operator_text).  The module also houses square matrices over Q(z)
+(RatMat, and companion matrices, computed once per operator) and truncated
+power series with explicit order bookkeeping.  It holds no series solver,
+does not apply operators to series and does not translate operators to
+other points: local_analysis reads every point, infinity included, off the
+cleared coefficients of the companion system, and power-series solutions
+come from local_analysis.regular_series_solutions.  The derived
 matrices G_s of a system live in growth, which reads them off the cleared
 integer recurrence.
 """
@@ -24,8 +27,7 @@ from .exact_arith import (
     as_fraction,
     as_ratfn,
     falling_factorial_poly,
-    poly_gcd,
-    poly_lcm,
+    ratfn_text,
 )
 
 
@@ -109,8 +111,6 @@ class DiffOp:
         return hash((self.basis, self.coeffs))
 
     def __repr__(self):
-        from .cli import operator_text  # cheap import, avoids duplication
-
         return f"DiffOp[{self.basis.value}]({operator_text(self)})"
 
     def scaled(self, r) -> "DiffOp":
@@ -123,6 +123,26 @@ class DiffOp:
             return self
         lead = self.leading()
         return DiffOp(self.basis, [c / lead for c in self.coeffs])
+
+
+def operator_text(l: DiffOp) -> str:
+    """Canonical rendering, parseable by cli.parse_operator."""
+    if l.is_zero():
+        return "0"
+    sym = "D" if l.basis is Basis.D else "theta"
+    parts = []
+    for k in range(l.order, -1, -1):
+        c = l.coeff(k)
+        if c.is_zero():
+            continue
+        coeff = f"({ratfn_text(c)})"
+        if k == 0:
+            parts.append(coeff)
+        elif k == 1:
+            parts.append(f"{coeff}*{sym}")
+        else:
+            parts.append(f"{coeff}*{sym}^{k}")
+    return " + ".join(parts)
 
 
 def _derivation(basis: Basis, c: RatFn) -> RatFn:
@@ -210,28 +230,6 @@ def change_basis(l: DiffOp, target: Basis) -> DiffOp:
             if ff[k]:
                 out[k] += c * zj * ff[k]
     return DiffOp(Basis.THETA, out).monic()
-
-
-def translate_to_point(l: DiffOp, point) -> DiffOp:
-    """Change of variable u = z - a (finite a) or u = 1/z (infinity).
-
-    Finite translation substitutes into the D-basis coefficients exactly;
-    at infinity theta maps to -theta_u exactly and the result is returned
-    monic in theta."""
-    if l.is_zero():
-        return l
-    if is_infinity(point):
-        lt = change_basis(l, Basis.THETA)
-        out = []
-        for k, c in enumerate(lt.coeffs):
-            ck = c.invert_argument()
-            out.append(ck if k % 2 == 0 else -ck)
-        return DiffOp(Basis.THETA, out).monic()
-    a = as_fraction(point)
-    if a == 0:
-        return l
-    ld = change_basis(l, Basis.D)
-    return DiffOp(Basis.D, [c.shift_argument(a) for c in ld.coeffs])
 
 
 def monic_theta_coefficients(l: DiffOp) -> list[RatFn]:
@@ -329,22 +327,6 @@ class RatMat:
 
     def __repr__(self):
         return f"RatMat({[[repr(e) for e in row] for row in self.entries]})"
-
-
-def cleared_polynomial_coeffs(l: DiffOp) -> list[Poly]:
-    """Primitive polynomial coefficient vector of the D-basis form: clear the
-    common denominator, then divide out the common polynomial factor."""
-    ld = change_basis(l, Basis.D)
-    den = Poly.ONE
-    for c in ld.coeffs:
-        den = poly_lcm(den, c.den)
-    polys = [(as_ratfn(den) * c).as_poly() for c in ld.coeffs]
-    g = Poly()
-    for p in polys:
-        g = poly_gcd(g, p) if not g.is_zero() else p
-    if g.degree >= 1:
-        polys = [p.exact_div(g) for p in polys]
-    return polys
 
 
 @lru_cache(maxsize=None)

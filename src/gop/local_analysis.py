@@ -1,39 +1,40 @@
 """Singularity classification and local exponent data.
 
-A point is regular singular exactly when every coefficient of the monic
-theta-basis form of the translated operator is pole-free at the origin; the
-indicial polynomial is then read off by evaluating those coefficients at 0.
-Algebraic (non-rational) singular locations are handled as classes cut out
-by a squarefree polynomial: the indicial data is computed with coefficients
-in Q[x]/(f) and flattened through a resultant, so only exact Q-arithmetic is
-ever needed.
+Every point is read off one form of the operator, L = sum_j b_j D^j with
+b_0..b_n the primitive integer coefficients of the cleared companion system
+(b_n = T, b_j = -(TG)[n-1][j]), by one Frobenius rule (Fuchs' criterion and
+the indicial equation, Ince, Ordinary Differential Equations, ch. XV-XVI):
+L applied to the local power u^y is led by the terms of least order in u.
+The point is regular singular exactly when the j = n term is among them,
+and those terms give the indicial polynomial.
+
+* At a finite point a the leading j minimise ord_a b_j - j, and each
+  contributes (b_j / (z - a)^ord)(a) y(y-1)...(y-j+1).  A rational point is
+  the class z - a; algebraic (non-rational) locations are classes cut out by
+  a squarefree polynomial f, computed with coefficients in Q[x]/(f) and
+  flattened through a resultant, so only exact Q-arithmetic is ever needed.
+* At infinity the leading j maximise deg b_j - j, and each contributes
+  lc(b_j) (-y)(-y-1)...(-y-j+1).
+
+Every pole profile lists (j, ord b_n - ord b_{n-j}) in ascending j.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .diffop import (
-    Basis,
-    DiffOp,
-    INFINITY,
-    change_basis,
-    cleared_polynomial_coeffs,
-    is_infinity,
-    monic_theta_coefficients,
-    translate_to_point,
-)
+from .diffop import DiffOp, INFINITY, companion, is_infinity
 from .errors import IrregularPoint
 from .exact_arith import (
     Poly,
-    RatFn,
     as_fraction,
     falling_factorial_poly,
     poly_gcd,
     resultant,
 )
+from .growth import cleared_system
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class SingularPoint:
 
     ``location`` is a Fraction, INFINITY, or a squarefree Poly describing a
     class of conjugate algebraic points.  ``pole_profile`` lists pairs
-    (j, pole order of B_j/B_0) in the ordering B_0 D^n + ... + B_n; at
+    (j, pole order of b_{n-j}/b_n) for j = 1..n, skipping b_{n-j} = 0; at
     infinity the entry is the pole order at u = 0 under u = 1/z, so
     regularity reads pole order <= j (finite) or <= -j (infinity).
     """
@@ -70,51 +71,102 @@ class OperatorProfile:
     katz_consistent: bool
 
 
+def _cleared_coeffs(l: DiffOp) -> list[Poly]:
+    """[b_0, ..., b_n], read off the cleared system (T, TG) of companion(L):
+    up to one common sign, the primitive integer coefficients of L."""
+    sys = cleared_system(companion(l))
+    return [-Poly(c) for c in sys.tg[-1]] + [Poly(sys.t)]
+
+
 # ---------------------------------------------------------------------------
-# rational points and infinity
+# the Frobenius rule
 
 
-def _translated_theta_coeffs(l: DiffOp, point) -> list[RatFn]:
-    """Monic theta-basis coefficients [A_1..A_n] of the translated operator."""
-    return monic_theta_coefficients(translate_to_point(l, point))
+def _frobenius(ords: list[Optional[int]], step: int) -> tuple[bool, tuple, list[int]]:
+    """(regular, pole profile, leading j) from ords[j] = order of b_j at the
+    point (None for b_j = 0).  The j-th term of L u^y has order
+    ords[j] + step*j + y, step = -1 at a finite point and +1 at infinity."""
+    n = len(ords) - 1
+    weights = [None if k is None else k + step * j for j, k in enumerate(ords)]
+    regular = all(w is None or weights[n] <= w for w in weights)
+    profile = tuple(
+        (n - j, ords[n] - ords[j]) for j in range(n - 1, -1, -1) if ords[j] is not None
+    )
+    leading = [j for j, w in enumerate(weights) if w == weights[n]]
+    return regular, profile, leading
 
 
-def _d_basis_profile(l: DiffOp, point) -> tuple[tuple[int, int], ...]:
-    ld = change_basis(l, Basis.D)
-    n = ld.order
-    lead = ld.coeff(n)
-    profile = []
-    for j in range(1, n + 1):
-        bj = ld.coeff(n - j)
-        if bj.is_zero():
-            continue
-        ratio = bj / lead
-        if is_infinity(point):
-            order = -ratio.order_at_infinity()
-        else:
-            order = -ratio.order_at(as_fraction(point))
-        profile.append((j, order))
-    return tuple(profile)
+def _data(point: SingularPoint, phi: Optional[Poly]) -> IndicialData:
+    if phi is None:
+        return IndicialData(point, None, (), ())
+    rationals, leftovers = split_rational_roots(phi)
+    return IndicialData(point, phi, tuple(rationals), tuple(leftovers))
 
 
-def fuchs_test(l: DiffOp, point) -> tuple[bool, tuple[tuple[int, int], ...]]:
-    """(regular, pole profile of the B_j/B_0 ratios)."""
-    coeffs = _translated_theta_coeffs(l, point)
-    regular = all(c.is_zero() or c.order_at_zero() >= 0 for c in coeffs)
-    return regular, _d_basis_profile(l, point)
+def _class_multiplicities(polys: list[Poly], f: Poly) -> list[Optional[int]]:
+    return [None if p.is_zero() else p.factor_multiplicity(f) for p in polys]
 
 
-def indicial_polynomial(l: DiffOp, point) -> Poly:
-    """Degree-n indicial polynomial at a rational point or infinity."""
-    coeffs = _translated_theta_coeffs(l, point)
-    n = len(coeffs)
-    if any(not c.is_zero() and c.order_at_zero() < 0 for c in coeffs):
-        raise IrregularPoint(f"point {point!r} is an irregular singularity")
-    phi = Poly.x(n)
-    for j, a in enumerate(coeffs, start=1):
-        if not a.is_zero():
-            phi = phi + Poly.x(n - j, a.evaluate(0))
-    return phi
+def _class_data(b: list[Poly], piece: Poly, location) -> IndicialData:
+    """The rule at the roots of the monic squarefree piece, along which every
+    b_j has uniform order.  With C_j = b_j / piece^(ord b_j), a leading j
+    contributes C_j(x) piece'(x)^(ord b_j) y(y-1)...(y-j+1) at a root x, and
+    Res_x(piece, Phi) collapses the class to one Q-polynomial in y whose root
+    set is the union of the exponent sets over the conjugate points."""
+    ks = _class_multiplicities(b, piece)
+    regular, profile, leading = _frobenius(ks, -1)
+    point = SingularPoint(location=location, regular=regular, pole_profile=profile)
+    if not regular:
+        return _data(point, None)
+    n = len(b) - 1
+    fp = piece.derivative()
+    phi_y = [Poly() for _ in range(n + 1)]
+    for j in leading:
+        cof = b[j]
+        for _ in range(ks[j]):
+            cof = cof.exact_div(piece)
+        coeff_x = (cof * fp ** ks[j]) % piece
+        ff = falling_factorial_poly(j)
+        for d in range(ff.degree + 1):
+            if ff[d]:
+                phi_y[d] = phi_y[d] + coeff_x * ff[d]
+    ys = [Fraction(k) for k in range(piece.degree * n + 1)]
+    values = []
+    for y0 in ys:
+        py = Poly()
+        for d, cx in enumerate(phi_y):
+            py = py + cx * (y0**d)
+        values.append(resultant(piece, py) if not py.is_zero() else Fraction(0))
+    return _data(point, _interpolate(ys, values).primitive())
+
+
+def _infinity_data(b: list[Poly]) -> IndicialData:
+    ords = [None if p.is_zero() else -p.degree for p in b]
+    regular, profile, leading = _frobenius(ords, 1)
+    point = SingularPoint(location=INFINITY, regular=regular, pole_profile=profile)
+    if not regular:
+        return _data(point, None)
+    phi = Poly()
+    for j in leading:
+        # (-y)(-y-1)...(-y-j+1) is the falling factorial at -y
+        phi = phi + falling_factorial_poly(j).compose(Poly([0, -1])) * b[j].leading()
+    return _data(point, phi.monic())
+
+
+def _point_data(b: list[Poly], point) -> IndicialData:
+    if is_infinity(point):
+        return _infinity_data(b)
+    a = as_fraction(point)
+    data = _class_data(b, Poly([-a, 1]), a)
+    return data if data.phi is None else replace(data, phi=data.phi.monic())
+
+
+def indicial_data(l: DiffOp, point) -> IndicialData:
+    """Regularity, pole profile and monic indicial polynomial (None when the
+    point is irregular) at a rational point or infinity, with the exponents
+    split off the indicial polynomial.  ``apparent_candidate`` is left False;
+    classify_operator fills it in."""
+    return _point_data(_cleared_coeffs(l), point)
 
 
 def split_rational_roots(phi: Poly) -> tuple[list[Fraction], list[Poly]]:
@@ -139,15 +191,14 @@ def split_rational_roots(phi: Poly) -> tuple[list[Fraction], list[Poly]]:
 def exponents(l: DiffOp, point) -> tuple[list[Fraction], list[Poly]]:
     """Rational exponents (with multiplicity) and leftover irreducible factors
     of the indicial polynomial at the point."""
-    return split_rational_roots(indicial_polynomial(l, point))
+    data = indicial_data(l, point)
+    if data.phi is None:
+        raise IrregularPoint(f"point {point!r} is an irregular singularity")
+    return list(data.rational_exponents), list(data.nonrational_factors)
 
 
 # ---------------------------------------------------------------------------
 # algebraic classes
-
-
-def _class_multiplicities(polys: list[Poly], f: Poly) -> list[int]:
-    return [p.factor_multiplicity(f) if not p.is_zero() else -1 for p in polys]
 
 
 def _split_class(polys: list[Poly], f: Poly) -> list[Poly]:
@@ -156,7 +207,7 @@ def _split_class(polys: list[Poly], f: Poly) -> list[Poly]:
     the class splits along that gcd.  Degrees strictly drop, so this stops."""
     ks = _class_multiplicities(polys, f)
     for p, k in zip(polys, ks):
-        if k < 0:
+        if k is None:
             continue
         cof = p
         for _ in range(k):
@@ -168,60 +219,10 @@ def _split_class(polys: list[Poly], f: Poly) -> list[Poly]:
 
 
 def analyze_algebraic_class(l: DiffOp, f: Poly) -> list[IndicialData]:
-    """Local data at the conjugate roots of the squarefree polynomial f.
-
-    With e = ord(B_n) along the class and mu = n - e, the unnormalized
-    indicial polynomial at a root x of f is
-
-        Phi(x, y) = sum over j with ord(B_j) = j - mu of
-                    C_j(x) f'(x)^(j - mu) y(y-1)...(y-j+1)
-
-    where C_j = B_j / f^(ord B_j).  Res_x(f, Phi) collapses the class to a
-    single Q-polynomial in y whose root set is the union of the exponent
-    sets over the conjugate points.
-    """
-    polys = cleared_polynomial_coeffs(l)
-    n = len(polys) - 1
-    out = []
-    for piece in _split_class(polys, f.monic()):
-        ks = _class_multiplicities(polys, piece)
-        e = ks[n]
-        regular = all(k < 0 or e - k <= n - j for j, k in enumerate(ks))
-        profile = tuple(
-            (n - j, e - k) for j, k in enumerate(ks) if k >= 0 and j < n
-        )
-        point = SingularPoint(location=piece, regular=regular, pole_profile=profile)
-        if not regular:
-            out.append(IndicialData(point, None, (), ()))
-            continue
-        mu = n - e
-        fp = piece.derivative()
-        phi_y = [Poly() for _ in range(n + 1)]
-        for j, k in enumerate(ks):
-            if k < 0 or k != j - mu:
-                continue
-            cof = polys[j]
-            for _ in range(k):
-                cof = cof.exact_div(piece)
-            coeff_x = (cof * fp**k) % piece
-            ff = falling_factorial_poly(j)
-            for d in range(ff.degree + 1):
-                if ff[d]:
-                    phi_y[d] = phi_y[d] + coeff_x * ff[d]
-        r_deg = piece.degree * n
-        ys = [Fraction(k) for k in range(r_deg + 1)]
-        values = []
-        for y0 in ys:
-            py = Poly()
-            for d, cx in enumerate(phi_y):
-                py = py + cx * (y0**d)
-            values.append(resultant(piece, py) if not py.is_zero() else Fraction(0))
-        r_poly = _interpolate(ys, values)
-        rationals, leftovers = split_rational_roots(r_poly)
-        out.append(
-            IndicialData(point, r_poly.primitive(), tuple(rationals), tuple(leftovers))
-        )
-    return out
+    """Local data at the conjugate roots of the squarefree polynomial f, one
+    entry per piece of f along which every coefficient has uniform order."""
+    b = _cleared_coeffs(l)
+    return [_class_data(b, piece, piece) for piece in _split_class(b, f.monic())]
 
 
 def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Poly:
@@ -244,29 +245,29 @@ def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Poly:
 # whole-operator classification
 
 
-def _apparent_singularity_candidate(l: DiffOp, point, rationals, phi) -> bool:
+def _apparent_singularity_candidate(b: list[Poly], a: Fraction, data: IndicialData) -> bool:
     """Heuristic flag: all exponents distinct nonnegative integers and a full
     power-series basis exists to the tested order.  Non-conclusive."""
-    n = change_basis(l, Basis.D).order
-    if len(rationals) != n or phi is None:
+    n = len(b) - 1
+    rationals = data.rational_exponents
+    if data.phi is None or data.nonrational_factors or len(rationals) != n:
         return False
     if any(r.denominator != 1 or r < 0 for r in rationals) or len(set(rationals)) != n:
         return False
-    lt = translate_to_point(l, point)
     exps = sorted(int(r) for r in rationals)
     order = exps[-1] + n + 8
     try:
-        basis = regular_series_solutions(lt, exps, order)
+        basis = regular_series_solutions([c.shift_argument(a) for c in b], exps, order)
     except IrregularPoint:
         return False
     return basis is not None
 
 
-def regular_series_solutions(l: DiffOp, exps: list[int], order: int):
-    """Power-series solutions seeded z^e for each e in exps (which must be
-    the integer exponents at 0, sorted), or None when a resonance obstruction
-    forces a logarithm.  Each solution is a dict exponent -> coefficient."""
-    polys = cleared_polynomial_coeffs(l)
+def regular_series_solutions(polys: list[Poly], exps: list[int], order: int):
+    """Power-series solutions at 0 of sum_j polys[j] D^j, seeded z^e for each
+    e in exps (which must be the integer exponents at 0, sorted), or None
+    when a resonance obstruction forces a logarithm.  Each solution is a dict
+    exponent -> coefficient."""
     n = len(polys) - 1
     theta_polys = [Poly() for _ in range(n + 1)]
     for j, b in enumerate(polys):
@@ -305,24 +306,22 @@ def regular_series_solutions(l: DiffOp, exps: list[int], order: int):
 
 def classify_operator(l: DiffOp) -> OperatorProfile:
     """Full singularity profile: candidate singular locations are the roots
-    of the leading coefficient of the cleared D-basis form (rational ones
-    individually, the rest grouped into squarefree classes) plus infinity."""
-    polys = cleared_polynomial_coeffs(l)
-    n = len(polys) - 1
-    if n < 1:
-        raise ValueError("classification needs order >= 1")
-    lead_poly = polys[n]
+    of the leading coefficient b_n (rational ones individually, the rest
+    grouped into squarefree classes) plus infinity."""
+    b = _cleared_coeffs(l)
+    lead = b[-1]
     points: list[IndicialData] = []
-    rational_roots = lead_poly.rational_roots()
+    rational_roots = lead.rational_roots()
     for a, _mult in rational_roots:
-        points.append(_indicial_data_at(l, a))
-    rest = lead_poly.primitive()
+        data = _point_data(b, a)
+        points.append(replace(data, apparent_candidate=_apparent_singularity_candidate(b, a, data)))
+    rest = lead.primitive()
     for root, mult in rational_roots:
         rest = rest.exact_div(Poly([-root, 1]) ** mult)
     if rest.degree >= 1:
         for piece, _m in rest.monic().squarefree_decomposition():
             points.extend(analyze_algebraic_class(l, piece))
-    points.append(_indicial_data_at(l, INFINITY))
+    points.append(_infinity_data(b))
     fuchsian = all(pt.point.regular for pt in points)
     all_rational = fuchsian and all(
         pt.phi is not None and not pt.nonrational_factors for pt in points
@@ -334,17 +333,3 @@ def classify_operator(l: DiffOp) -> OperatorProfile:
         all_exponents_rational=all_rational,
         katz_consistent=fuchsian and all_rational,
     )
-
-
-def _indicial_data_at(l: DiffOp, point) -> IndicialData:
-    regular, profile = fuchs_test(l, point)
-    loc = INFINITY if is_infinity(point) else as_fraction(point)
-    sp = SingularPoint(location=loc, regular=regular, pole_profile=profile)
-    if not regular:
-        return IndicialData(sp, None, (), ())
-    phi = indicial_polynomial(l, point)
-    rationals, leftovers = split_rational_roots(phi)
-    apparent = False
-    if not is_infinity(point) and not leftovers:
-        apparent = _apparent_singularity_candidate(l, point, rationals, phi)
-    return IndicialData(sp, phi, tuple(rationals), tuple(leftovers), apparent)

@@ -157,20 +157,23 @@ class GlobalScan:
 
 
 def prime_report(g: RatMat, p: int, operator: Optional[DiffOp] = None) -> PCurvatureReport:
-    try:
-        gp = p_curvature(g, p)
-    except BadPrime as exc:
-        return PCurvatureReport(p, "BadPrime", None, True, str(exc))
-    nil, index = is_nilpotent(gp)
+    """Nilpotence verdict and index of the p-curvature of G at the prime p,
+    with the division test's agreement when the operator L (G =
+    companion(L)) is given.  BadPrime when G does not reduce mod p."""
+    nil, index = is_nilpotent(p_curvature(g, p))
     agreement = True
     if operator is not None:
-        try:
-            agreement = operator_nilpotence_by_division(operator, p) == nil
-        except BadPrime as exc:
-            return PCurvatureReport(p, "BadPrime", None, True, str(exc))
+        agreement = operator_nilpotence_by_division(operator, p) == nil
     return PCurvatureReport(
         p, "Nilpotent" if nil else "NonNilpotent", index, agreement
     )
+
+
+def _scan_report(g: RatMat, p: int, operator: Optional[DiffOp]) -> PCurvatureReport:
+    try:
+        return prime_report(g, p, operator)
+    except BadPrime as exc:
+        return PCurvatureReport(p, "BadPrime", None, True, str(exc))
 
 
 def global_scan(subject, primes: Sequence[int], subject_id: str = "") -> GlobalScan:
@@ -184,7 +187,7 @@ def global_scan(subject, primes: Sequence[int], subject_id: str = "") -> GlobalS
     else:
         operator, g = None, subject
     primes = tuple(sorted(primes))
-    reports = [prime_report(g, p, operator) for p in primes]
+    reports = [_scan_report(g, p, operator) for p in primes]
     good = [r for r in reports if r.status != "BadPrime"]
     if not good:
         verdict = "NoGoodPrime"

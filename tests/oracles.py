@@ -13,16 +13,16 @@ from gop.diffop import (
     RatMat,
     TruncatedSeries,
     change_basis,
-    cleared_polynomial_coeffs,
     companion,
+    is_infinity,
     monic_theta_coefficients,
     op_add,
     op_mul,
     op_sub,
 )
 from gop.errors import InsufficientTruncation
-from gop.exact_arith import GAUSS_INF, RatFn, as_fraction, gauss_valuation, primes_upto, vp_fraction, vp_int
-from gop.growth import ExactLog
+from gop.exact_arith import GAUSS_INF, Poly, RatFn, as_fraction, gauss_valuation, primes_upto, vp_fraction, vp_int
+from gop.growth import ExactLog, cleared_system
 from gop.local_analysis import regular_series_solutions
 from gop.modp import reduce_ratfn_mod_p
 
@@ -207,16 +207,74 @@ def apply_to_power(l: DiffOp, s: int, depth: int = 8) -> tuple[int, list[Fractio
 
 def ordinary_series_basis(l: DiffOp, order: int) -> list[TruncatedSeries]:
     """The n power-series solutions z^i + O(z^n), i < n, at the ordinary
-    point 0, from local_analysis.regular_series_solutions.  ValueError when
-    the leading coefficient of L vanishes at 0."""
-    polys = cleared_polynomial_coeffs(l)
-    n = len(polys) - 1
-    if n < 1:
+    point 0, from local_analysis.regular_series_solutions on the cleared
+    coefficients of companion(L).  ValueError when the leading coefficient
+    of L vanishes at 0."""
+    if l.order < 1:
         raise ValueError("order must be >= 1")
+    sys = cleared_system(companion(l))
+    polys = [-Poly(c) for c in sys.tg[-1]] + [Poly(sys.t)]
+    n = len(polys) - 1
     if polys[n].evaluate(0) == 0:
         raise ValueError("leading coefficient vanishes at 0")
-    solutions = regular_series_solutions(l, list(range(n)), order)
+    solutions = regular_series_solutions(polys, list(range(n)), order)
     return [TruncatedSeries([sol.get(k, 0) for k in range(order)]) for sol in solutions]
+
+
+# ---------------------------------------------------------------------------
+# local data by translation to the origin
+
+
+def translate_to_point(l: DiffOp, point) -> DiffOp:
+    """Change of variable u = z - a (finite a) or u = 1/z (infinity).
+
+    Finite translation substitutes into the D-basis coefficients exactly;
+    at infinity theta maps to -theta_u exactly and the result is returned
+    monic in theta."""
+    if l.is_zero():
+        return l
+    if is_infinity(point):
+        lt = change_basis(l, Basis.THETA)
+        out = []
+        for k, c in enumerate(lt.coeffs):
+            ck = c.invert_argument()
+            out.append(ck if k % 2 == 0 else -ck)
+        return DiffOp(Basis.THETA, out).monic()
+    a = as_fraction(point)
+    if a == 0:
+        return l
+    ld = change_basis(l, Basis.D)
+    return DiffOp(Basis.D, [c.shift_argument(a) for c in ld.coeffs])
+
+
+def theta_indicial_data(l: DiffOp, point):
+    """(regular, pole profile, indicial polynomial or None) at a rational
+    point or infinity, by the theta route: translate the point to 0, take the
+    monic theta form theta^n + sum A_j theta^(n-j) in Q(z) arithmetic; the
+    point is regular iff no A_j has a pole at 0, and then the indicial
+    polynomial is y^n + sum A_j(0) y^(n-j).  The profile lists
+    (j, pole order of B_{n-j}/B_n) for the D-basis coefficients B of L."""
+    coeffs = monic_theta_coefficients(translate_to_point(l, point))
+    n = len(coeffs)
+    regular = all(c.is_zero() or c.order_at_zero() >= 0 for c in coeffs)
+    ld = change_basis(l, Basis.D)
+    profile = []
+    for j in range(1, n + 1):
+        ratio = ld.coeff(n - j)
+        if ratio.is_zero():
+            continue
+        ratio = ratio / ld.coeff(n)
+        if is_infinity(point):
+            profile.append((j, -ratio.order_at_infinity()))
+        else:
+            profile.append((j, -ratio.order_at(as_fraction(point))))
+    if not regular:
+        return False, tuple(profile), None
+    phi = Poly.x(n)
+    for j, a in enumerate(coeffs, start=1):
+        if not a.is_zero():
+            phi = phi + Poly.x(n - j, a.evaluate(0))
+    return True, tuple(profile), phi
 
 
 # ---------------------------------------------------------------------------

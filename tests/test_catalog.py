@@ -17,12 +17,12 @@ from gop.catalog import (
     polylog_system,
 )
 from gop.cli import parse_operator
-from gop.diffop import Basis, translate_to_point
+from gop.diffop import Basis
 from gop.errors import InvalidParameters
 from gop.exact_arith import Poly, RatFn, primes_upto
 from gop.local_analysis import classify_operator, exponents
 from gop.p_curvature import global_scan
-from oracles import apply_operator, catalog_systems, ordinary_series_basis
+from oracles import apply_operator, catalog_systems, ordinary_series_basis, translate_to_point
 
 
 def test_polylog_operator_examples():

@@ -136,11 +136,33 @@ def test_series_file_pade(tmp_path):
     validate(env, load_schema("pade"))
 
 
+def test_malformed_series_file_is_usage_error(tmp_path):
+    def entries(**changed):
+        return {"trunc_order": 3, "components": [[["1", "1"], ["1", "2"], ["1", "3"]]]} | changed
+
+    files = {
+        "invalid.json": "{not json",
+        "zero-den.json": json.dumps(entries(components=[[["1", "1"], ["1", "0"], ["1", "3"]]])),
+        "no-key.json": json.dumps({"components": entries()["components"]}),
+        "non-integer.json": json.dumps(entries(components=[[["1", "1"], ["1/2", "1"], ["1", "3"]]])),
+        "float.json": json.dumps(entries(components=[[["1", "1"], [1.5, 1], ["1", "3"]]])),
+        "no-components.json": json.dumps(entries(components=[])),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    for name in ["missing.json"] + list(files):
+        code, env = run_command(["pade", "--series", str(tmp_path / name), "--N", "1", "--M", "1"])
+        assert code == 1 and "error" in env, name
+
+
 def test_text_format(capsys):
     rc = main(["--format", "text", "exponents", "theta^2 - 2", "--point", "0"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "rational_exponents" in out and "{" not in out
+    # --format is one argparse option: an unknown value is a usage error
+    rc = main(["--format", "xml", "classify", "D"])
+    assert rc == 1 and capsys.readouterr().out == ""
 
 
 def test_json_format_default(capsys):

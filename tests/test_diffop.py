@@ -21,7 +21,6 @@ from gop.diffop import (
     op_mul,
     op_pow,
     op_sub,
-    translate_to_point,
 )
 from gop.exact_arith import Poly, RatFn
 from gop.growth import gs_sequence
@@ -32,6 +31,7 @@ from oracles import (
     naive_gs_sequence,
     op_div_right,
     ordinary_series_basis,
+    translate_to_point,
 )
 
 
@@ -123,9 +123,9 @@ def test_translate_examples():
 
 
 def test_translate_infinity_feeds_irregularity():
-    from gop.local_analysis import fuchs_test
+    from gop.local_analysis import indicial_data
 
-    assert fuchs_test(parse_operator("D - 1"), INFINITY)[0] is False
+    assert indicial_data(parse_operator("D - 1"), INFINITY).point.regular is False
 
 
 def test_companion_examples():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gop.catalog import (
+    CATALOG,
     counterexample_theta2_minus_2,
     hypergeom_operator,
     order1_g_operator,
@@ -19,34 +20,34 @@ from gop.local_analysis import (
     analyze_algebraic_class,
     classify_operator,
     exponents,
-    fuchs_test,
-    indicial_polynomial,
+    indicial_data,
 )
-from oracles import apply_to_power, hypergeom_expected_exponents
+from oracles import apply_to_power, hypergeom_expected_exponents, theta_indicial_data
 
 G2F1 = hypergeom_operator([Fraction(1, 2), Fraction(1, 2)], [Fraction(1)])
 
 
 def test_fuchs_examples():
     for point in (0, 1, INFINITY):
-        assert fuchs_test(G2F1, point)[0] is True
-    assert fuchs_test(parse_operator("D - 1"), INFINITY)[0] is False
+        assert indicial_data(G2F1, point).point.regular is True
+    assert indicial_data(parse_operator("D - 1"), INFINITY).point.regular is False
     # polynomial coefficients at a non-root of the leading coefficient
-    assert fuchs_test(parse_operator("(1-z)*D^2 - D"), 5)[0] is True
+    assert indicial_data(parse_operator("(1-z)*D^2 - D"), 5).point.regular is True
 
 
 def test_indicial_examples():
     # ordinary point, n = 3: x(x-1)(x-2)
     l3 = parse_operator("D^3")
-    assert indicial_polynomial(l3, 0) == Poly([0, 2, -3, 1])
+    assert indicial_data(l3, 0).phi == Poly([0, 2, -3, 1])
     # Gauss at 0: x(x - 1 + c) with c = 1
-    assert indicial_polynomial(G2F1, 0) == Poly([0, 0, 1])
-    assert indicial_polynomial(counterexample_theta2_minus_2(), 0) == Poly([-2, 0, 1])
+    assert indicial_data(G2F1, 0).phi == Poly([0, 0, 1])
+    assert indicial_data(counterexample_theta2_minus_2(), 0).phi == Poly([-2, 0, 1])
 
 
 def test_indicial_irregular_raises():
-    with pytest.raises(IrregularPoint):
-        indicial_polynomial(parse_operator("D - 1"), INFINITY)
+    assert indicial_data(parse_operator("D - 1"), INFINITY).phi is None
+    with pytest.raises(IrregularPoint, match="point INFINITY is an irregular singularity"):
+        exponents(parse_operator("D - 1"), INFINITY)
 
 
 def test_exponents_examples():
@@ -98,6 +99,40 @@ def test_classify_gauss_singular_set():
     assert list(by_loc[Fraction(1)].rational_exponents) == [0, 0]
 
 
+def _drawn_operator(rng, basis):
+    """Order 1..3 with polynomial coefficients built from the factors z,
+    z - 1, z + 1, 2z - 1, so that the tested points are often singular and
+    sometimes irregular."""
+    factors = [Poly([0, 1]), Poly([-1, 1]), Poly([1, 1]), Poly([-1, 2])]
+    coeffs = []
+    for _ in range(rng.randint(2, 4)):
+        c = Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 2))])
+        for _ in range(rng.randint(0, 3)):
+            c = c * rng.choice(factors)
+        coeffs.append(c)
+    if coeffs[-1].is_zero():
+        coeffs[-1] = rng.choice(factors)
+    return DiffOp(basis, coeffs)
+
+
+def test_indicial_data_matches_theta_route():
+    # the theta route translates each point to 0 in Q(z) arithmetic; the
+    # Frobenius rule reads the cleared integer coefficients in place
+    rng = random.Random(8)
+    ops = [entry.operator for entry in CATALOG.values()] + [polylog_operator(3)]
+    ops += [_drawn_operator(rng, basis) for _ in range(20) for basis in (Basis.D, Basis.THETA)]
+    points = [0, 1, -1, Fraction(1, 2), Fraction(3, 2), 2, 5, INFINITY]
+    irregular = 0
+    for l in ops:
+        for point in points:
+            data = indicial_data(l, point)
+            want = theta_indicial_data(l, point)
+            got = (data.point.regular, data.point.pole_profile, data.phi)
+            assert got == want, (l, point)
+            irregular += not data.point.regular
+    assert 0 < irregular < len(ops) * len(points) // 2
+
+
 def test_indicial_product_formula():
     rng = random.Random(5)
     for _ in range(12):
@@ -110,8 +145,8 @@ def test_indicial_product_formula():
             return DiffOp(Basis.THETA, coeffs + [Poly.ONE])
 
         m, l = mk(), mk()
-        phi_prod = indicial_polynomial(op_mul(m, l), 0)
-        assert phi_prod == indicial_polynomial(m, 0) * indicial_polynomial(l, 0)
+        phi_prod = indicial_data(op_mul(m, l), 0).phi
+        assert phi_prod == indicial_data(m, 0).phi * indicial_data(l, 0).phi
 
 
 def test_left_multiplication_preserves_exponents():
@@ -124,7 +159,7 @@ def test_left_multiplication_preserves_exponents():
 
 def test_apply_to_power_matches_indicial():
     for l in (G2F1, counterexample_theta2_minus_2(), parse_operator("theta^3 - z*theta")):
-        phi = indicial_polynomial(l, 0)
+        phi = indicial_data(l, 0).phi
         for s in range(-3, 4):
             _, phis = apply_to_power(l, s)
             assert phis[0] == phi.evaluate(s)
