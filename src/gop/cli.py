@@ -362,12 +362,28 @@ def _parse_point(text: str):
         raise UsageError(f"bad point {text!r}") from exc
 
 
+# Bounds on the flags that set how much work a command does.  Each comment
+# gives the slowest of the listed catalog entries and polylog:3 at the bound,
+# one command on a 2-core x86-64 machine; higher polylog weights and larger
+# operators cost more at the same bound.
+
+# pcurv runs p recurrence steps mod p and p·n more for the division test, each
+# O(p): polylog:3 at p = 1999 took 13.2 s
+PCURV_PRIME_MAX = 2000
+# scan does that for every prime in its range: gauss2f1 over 2..1000 took 24.5 s
+SCAN_PRIME_MAX = 1000
+# galochkin and radius run smax integer steps and keep every H_s: galochkin on
+# gauss2f1 at smax 500 took 7.2 s and 254 MB peak RSS
+SMAX_MAX = 500
+
+
 def _parse_primes(text: str) -> list[int]:
     try:
         lo, hi = text.split("..")
         lo, hi = int(lo), int(hi)
     except ValueError as exc:
         raise UsageError(f"bad prime range {text!r}, expected a..b") from exc
+    _check_at_most("the top of --primes", hi, SCAN_PRIME_MAX)
     return [p for p in primes_upto(hi) if p >= lo]
 
 
@@ -381,6 +397,11 @@ def _check_prime(p: int) -> None:
 def _check_at_least(name: str, value: int, least: int) -> None:
     if value < least:
         raise UsageError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_at_most(name: str, value: int, most: int) -> None:
+    if value > most:
+        raise UsageError(f"{name} must be <= {most}, got {value}")
 
 
 def _catalog_entry(entry_id: Optional[str]) -> CatalogEntry:
@@ -473,6 +494,7 @@ def _cmd_exponents(args) -> dict:
 def _cmd_pcurv(args) -> dict:
     # single-prime detail: BadPrime propagates (exit 2), unlike in scans
     _check_prime(args.prime)
+    _check_at_most("--prime", args.prime, PCURV_PRIME_MAX)
     label, op = _resolve_operator(args)
     report = prime_report(companion(op), args.prime, op)
     return {
@@ -498,6 +520,7 @@ def _cmd_scan(args) -> dict:
 
 def _cmd_galochkin(args) -> dict:
     _check_at_least("--smax", args.smax, 1)
+    _check_at_most("--smax", args.smax, SMAX_MAX)
     label, g = _resolve_system(args)
     trace = galochkin_trace(g, args.smax)
     return {"input": label} | trace_json(trace)
@@ -520,6 +543,7 @@ def _cmd_radius(args) -> dict:
     label, g = _resolve_system(args)
     # the Hadamard window starts at the system order
     _check_at_least("--smax", args.smax, g.n)
+    _check_at_most("--smax", args.smax, SMAX_MAX)
     value = radius_estimate(g, args.prime, args.smax)
     return {
         "input": label,

@@ -7,10 +7,11 @@ which satisfies the polynomial recurrence
 
 stays integer once T is normalized integer-primitive, and shares Gauss
 valuations with G_s (v(G_s) = v(H_s) because T has unit content at every
-prime).  _step is the one characteristic-zero implementation of this step:
-gs_sequence reads G_s = H_s / T^s off it, pade.derived_tower runs it on a
-row vector with TG replaced by -(TG)^T, and the p-adic quantities below read
-the contents of its H_s (modp.ClearedSequenceMod is the mod-m engine).
+prime).  _step is the one implementation of this step, over Z and, given
+a modulus, over Z/m: gs_sequence reads G_s = H_s / T^s off it,
+pade.derived_tower runs it on a row vector with TG replaced by -(TG)^T, the
+p-adic quantities below read the contents of its H_s, and
+modp.ClearedSequenceMod runs it mod m until numpy pays for itself.
 
 Every p-adic quantity reads the integer content c_m = gcd of the
 coefficients of H_m, once per m for all primes: min v_p(H_m) = v_p(c_m), and
@@ -38,7 +39,7 @@ from .exact_arith import (
     primes_upto,
     vp_int,
 )
-from .modp import ClearedSequenceMod
+from . import modp
 
 
 @dataclass
@@ -48,7 +49,6 @@ class _IntSystem:
 
     n: int
     t: list[int]
-    dt: list[int]
     tg: list[list[list[int]]]
     hs: list  # hs[s-1] = H_s as int coefficient lists
     contents: list[int] = field(default_factory=list)  # gcd of H_s's coefficients
@@ -71,63 +71,48 @@ class _IntSystem:
         return vp_int(c, p) if c else GAUSS_INF
 
     def _advance(self):
-        self.hs.append(_step(self.hs[-1], len(self.hs), self.t, self.dt, self.tg))
+        self.hs.append(_step(self.hs[-1], len(self.hs), self.t, self.tg))
 
 
-def _step(h, s: int, t, dt, tg):
-    """H_{s+1} = H_s (TG) + T H_s' - s T' H_s over Z, the one
-    characteristic-zero step.  h is any block of rows of H_s (n columns);
-    the result has the same rows of H_{s+1}."""
+def _step(h, s: int, t, tg, m: int | None = None):
+    """H_{s+1} = H_s (TG) + T H_s' - s T' H_s, the one step over Z and, given
+    a modulus m, over Z/m (every output coefficient reduced to [0, m)).
+    h is any block of rows of H_s (n columns); the result has the same rows
+    of H_{s+1}, each entry a coefficient list with trailing zeros trimmed."""
     n = len(tg)
     out = []
     for hrow in h:
         row = []
         for j in range(n):
-            acc = [0]
-            for k in range(n):
-                acc = _ipoly_add(acc, _ipoly_mul(hrow[k], tg[k][j]))
-            acc = _ipoly_add(acc, _ipoly_mul(t, _ipoly_deriv(hrow[j])))
-            acc = _ipoly_add(acc, _ipoly_scale(_ipoly_mul(dt, hrow[j]), -s))
+            hj = hrow[j]
+            # (H_s entry, TG entry) pairs whose products sum to column j of
+            # H_s (TG); zero entries, common in TG, are skipped
+            terms = [(hrow[k], tg[k][j]) for k in range(n) if hrow[k] and tg[k][j]]
+            size = max((len(a) + len(b) - 1 for a, b in terms), default=0)
+            if hj:
+                size = max(size, len(t) + len(hj) - 2)
+            acc = [0] * size
+            for a, b in terms:
+                if len(a) < len(b):
+                    a, b = b, a
+                width = len(a)
+                for i, x in enumerate(b):
+                    if x:
+                        acc[i : i + width] = [u + x * y for u, y in zip(acc[i : i + width], a)]
+            # T H_s' - s T' H_s = sum over i, k of t_i (k - s i) h_k z^(i+k-1),
+            # one pass per nonzero t_i (for i = 0 the k = 0 term vanishes)
+            for i, x in enumerate(t):
+                if x and hj:
+                    lo, first, si = max(i - 1, 0), int(i == 0), s * i
+                    hi = lo + len(hj) - first
+                    acc[lo:hi] = [u + x * (k - si) * y for u, k, y in zip(acc[lo:hi], range(first, len(hj)), hj[first:])]
+            if m is not None:
+                acc = [c % m for c in acc]
+            while acc and acc[-1] == 0:
+                acc.pop()
             row.append(acc)
         out.append(row)
     return out
-
-
-def _ipoly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _ipoly_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _ipoly_trim(out)
-
-
-def _ipoly_mul(a, b):
-    if not a or not b:
-        return []
-    if len(a) > len(b):
-        # the shorter operand (TG, T, T') outside, H_s in the inner loop
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ipoly_trim(out)
-
-
-def _ipoly_scale(a, c):
-    return _ipoly_trim([c * x for x in a])
-
-
-def _ipoly_deriv(a):
-    return _ipoly_trim([i * c for i, c in enumerate(a)][1:])
 
 
 _SYSTEMS: dict[RatMat, _IntSystem] = {}
@@ -153,7 +138,7 @@ def cleared_system(g: RatMat) -> _IntSystem:
         t = [int(c * d) for c in t0.coeffs]
         tg = [[[int(c * d) for c in poly.coeffs] for poly in row] for row in t0g]
         h1 = [[list(c) for c in row] for row in tg]
-        sys = _IntSystem(n=g.n, t=t, dt=_ipoly_deriv(t), tg=tg, hs=[h1])
+        sys = _IntSystem(n=g.n, t=t, tg=tg, hs=[h1])
         _SYSTEMS[g] = sys
     return sys
 
@@ -410,8 +395,8 @@ def nilpotence_valuation_bound(g: RatMat, p: int, s_upto: int = 3) -> bool:
     sys = cleared_system(g)
     n = sys.n
     modulus = p**s_upto
-    seq = ClearedSequenceMod(sys.t, sys.tg, modulus)
+    seq = modp.ClearedSequenceMod(sys.t, sys.tg, modulus)
     for s in range(1, s_upto + 1):
-        if (seq.goto(p * n * s) % p**s).any():
+        if any(c % p**s for row in seq.goto(p * n * s) for poly in row for c in poly):
             return False
     return True

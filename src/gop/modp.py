@@ -6,15 +6,20 @@ integer polynomial matrices reduced modulo m.  There is no F_p(z) arithmetic:
 denominators are cleared once in characteristic zero, so no gcd is ever taken
 modulo m.
 
-A polynomial matrix is held as one numpy block of shape (degree+1, rows, n):
-``block[e]`` is the matrix of z^e coefficients, each in [0, m), and the top
-degree is nonzero (a zero matrix has no degrees at all).  The block is int64
-while every sum a step forms stays below 2^63, and of dtype ``object``
-(Python ints, exact for any modulus) otherwise.
+A polynomial matrix is held as [row][col] coefficient lists, low degree
+first, each coefficient in [0, m), trailing zeros trimmed.  ``FpMat``
+multiplies such matrices by Kronecker substitution: each entry is packed
+into byte-aligned slots of one Python integer, and one big-integer product
+does a whole polynomial product.
 
-numpy is imported by the first ``ClearedSequenceMod``, not with this module:
-only the p-curvature and valuation paths run the engine, and most commands
-never load it.
+``ClearedSequenceMod`` has two storages behind the one step.  It runs
+``growth._step`` with a modulus on the lists until the process has done
+``LIST_WORK_BUDGET`` coefficient-steps of list work, about the cost of one
+numpy import; from then on that sequence and every later one step numpy
+blocks of shape (degree+1, rows, n), where ``block[e]`` is the matrix of z^e
+coefficients.  A block is int64 while every sum a step forms stays below
+2^63, and of dtype ``object`` (Python ints, exact for any modulus)
+otherwise.  Short scans never import numpy, and long ones pay for it once.
 
 The reduction map follows the Gauss-valuation convention: a rational function
 reduces mod p iff its Gauss valuation is >= 0, after normalizing the
@@ -24,8 +29,10 @@ denominator to unit content.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
+from . import growth
 from .errors import BadPrime
 from .exact_arith import Poly, RatFn, as_fraction, gauss_valuation, poly_gauss_valuation, vp_int
 
@@ -45,10 +52,7 @@ def reduce_fraction_mod_p(q: Fraction, p: int) -> int:
 
 def reduce_poly_mod_p(f: Poly, p: int) -> list[int]:
     """Coefficients of f mod p, low degree first, trailing zeros trimmed."""
-    out = [reduce_fraction_mod_p(c, p) for c in f.coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return _trim_list([reduce_fraction_mod_p(c, p) for c in f.coeffs])
 
 
 def reduce_ratfn_mod_p(f: RatFn, p: int) -> tuple[list[int], list[int]]:
@@ -65,7 +69,76 @@ def reduce_ratfn_mod_p(f: RatFn, p: int) -> tuple[list[int], list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# blocks of polynomial matrices mod m
+# matrices over F_p[z]
+
+
+def _trim_list(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _reduce(coeffs: Sequence[int], m: int) -> list[int]:
+    """Coefficients mod m, trailing zeros trimmed."""
+    return _trim_list([c % m for c in coeffs])
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """Kronecker substitution z -> 2^(8 width) of nonnegative coefficients
+    below 2^(8 width)."""
+    return int.from_bytes(b"".join(map(int.to_bytes, coeffs, repeat(width), repeat("little"))), "little")
+
+
+def _unpack(x: int, width: int, p: int) -> list[int]:
+    """Inverse of _pack, each coefficient reduced mod p."""
+    data = x.to_bytes(-(-x.bit_length() // (8 * width)) * width, "little")
+    return _reduce([int.from_bytes(data[k : k + width], "little") for k in range(0, len(data), width)], p)
+
+
+class FpMat:
+    """Square matrix over F_p[z]: [row][col] coefficient lists in [0, prime),
+    low degree first, trailing zeros trimmed (a zero entry is [])."""
+
+    def __init__(self, prime: int, entries: list[list[list[int]]]):
+        self.prime = prime
+        self.entries = entries
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
+    def is_zero(self) -> bool:
+        return not any(c for row in self.entries for c in row)
+
+    def __mul__(self, other: "FpMat") -> "FpMat":
+        """Each entry of the product by Kronecker substitution (von zur
+        Gathen-Gerhard, Modern Computer Algebra, 8.4): entries are packed
+        once into byte-aligned slots of one integer, each output entry is a
+        sum of n big-integer products, unpacked and reduced once."""
+        a, b, p, n = self.entries, other.entries, self.prime, self.n
+        len_a = max((len(c) for row in a for c in row), default=0)
+        len_b = max((len(c) for row in b for c in row), default=0)
+        if not (len_a and len_b):
+            return FpMat(p, [[[] for _ in range(n)] for _ in range(n)])
+        # a slot holds any output coefficient: a sum of n products of
+        # polynomials, each coefficient a sum of at most min(len) products
+        width = -(-(n * min(len_a, len_b) * (p - 1) ** 2).bit_length() // 8)
+        left = [[_pack(c, width) for c in row] for row in a]
+        right = [[_pack(c, width) for c in row] for row in b]
+        return FpMat(p, [
+            [_unpack(sum(left[i][k] * right[k][j] for k in range(n)), width, p) for j in range(n)]
+            for i in range(n)
+        ])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FpMat) and self.prime == other.prime and self.entries == other.entries
+
+    def __repr__(self):
+        return f"FpMat(prime={self.prime}, {self.entries})"
+
+
+# ---------------------------------------------------------------------------
+# numpy blocks of polynomial matrices mod m
 
 _INT64_BOUND = 2**63
 
@@ -90,83 +163,22 @@ def _trim(block):
     return block[: nonzero[-1] + 1] if nonzero.size else block[:0]
 
 
-def _trim_list(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _block(entries: Sequence[Sequence[Sequence[int]]], m: int, dtype):
-    """Block mod m of a matrix given as [row][col] integer coefficient lists."""
+def _block(entries: Sequence[Sequence[Sequence[int]]], dtype):
+    """Block of a matrix given as [row][col] lists of residues."""
     degrees = max((len(c) for row in entries for c in row), default=0)
     out = _numpy().zeros((degrees, len(entries), len(entries[0])), dtype=dtype)
     for i, row in enumerate(entries):
         for j, c in enumerate(row):
-            out[: len(c), i, j] = [x % m for x in c]
-    return _trim(out)
+            out[: len(c), i, j] = c
+    return out
 
 
-def _entry_lengths(block) -> list[list[int]]:
-    """[row][col] 1 + the degree of each entry of a nonempty block, 0 for a
-    zero entry."""
-    nonzero = block != 0
-    return _numpy().where(nonzero.any(axis=0), len(block) - nonzero[::-1].argmax(axis=0), 0).tolist()
-
-
-def block_entries(block) -> list[list[list[int]]]:
-    """[row][col] coefficient lists of a block, low degree first, trailing
-    zeros trimmed."""
+def _block_entries(block) -> list[list[list[int]]]:
+    """[row][col] coefficient lists of a block, trailing zeros trimmed."""
     return [
         [_trim_list(block[:, i, j].tolist()) for j in range(block.shape[2])]
         for i in range(block.shape[1])
     ]
-
-
-class FpMat:
-    """Square matrix over F_p[z] held as one trimmed block of shape
-    (degree+1, n, n) with coefficients in [0, prime)."""
-
-    def __init__(self, prime: int, block):
-        self.prime = prime
-        self.block = block
-
-    @property
-    def n(self) -> int:
-        return self.block.shape[1]
-
-    def is_zero(self) -> bool:
-        return len(self.block) == 0
-
-    def __mul__(self, other: "FpMat") -> "FpMat":
-        np = _numpy()
-        a, b, p, n = self.block, other.block, self.prime, self.n
-        if not (len(a) and len(b)):
-            return FpMat(p, a[:0])
-        dtype = _dtype(n * min(len(a), len(b)), p)
-        a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
-        out = np.zeros((len(a) + len(b) - 1, n, n), dtype=dtype)
-        # each entry is convolved only up to its own degree, so zero and short
-        # entries cost little; at p = 1009 this product took a third of the
-        # time of a matmul per degree of the left factor
-        left, right = _entry_lengths(a), _entry_lengths(b)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    x, y = left[i][k], right[k][j]
-                    if x and y:
-                        out[: x + y - 1, i, j] += np.convolve(a[:x, i, k], b[:y, k, j])
-        return FpMat(p, _trim(out % p))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpMat)
-            and self.prime == other.prime
-            and self.block.shape == other.block.shape
-            and bool((self.block == other.block).all())
-        )
-
-    def __repr__(self):
-        return f"FpMat(prime={self.prime}, {block_entries(self.block)})"
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +189,22 @@ class FpMat:
 # arithmetic.  Any block of rows of H obeys the same recurrence, so a caller
 # may start from rows of its own at any index (the division test starts from
 # the row e_0 of H_0 = identity).
+#
+# Ski rental between the two storages: list steps cost nothing to start,
+# numpy steps cost one import, so lists run until the process has done about
+# one import's worth of list work, and nothing pays much more than one numpy
+# import over either storage alone.  Work is counted in coefficient-steps:
+# one step of a block with c stored coefficients counts c.  On a 2-core
+# x86-64 machine (numpy 2.4) an import took 86-129 ms (medians of 7 fresh
+# interpreters, over three sessions) and list steps took 0.68-0.99 us per
+# coefficient-step on the catalog subjects with real work (polylog:2,
+# polylog:3, gauss2f1, theta2m2, operators and systems, p <= 97), so the
+# break-even lies between about 90 000 and 190 000.  The budget sits at the
+# low end because what an input that outgrows it pays over numpy alone is
+# the list work itself, which it keeps near 0.1 s.
+
+LIST_WORK_BUDGET = 100_000
+_list_work = 0  # coefficient-steps this process has done on lists
 
 
 class ClearedSequenceMod:
@@ -184,10 +212,11 @@ class ClearedSequenceMod:
 
     ``t_coeffs`` and the entries of ``tg`` (indexed [row][col]) and ``start``
     are integer coefficient lists.  ``start`` is the block of rows at index
-    ``s``; by default the whole of H_1 = TG.  ``current`` is the block at
-    index ``self.s``, of shape (degree+1, rows, n).  Any modulus m >= 2 is
-    exact: the block is int64 only while an output coefficient, a sum of
-    n·len(TG) + len(T) + len(T') products of residues, stays below 2^63.
+    ``s``; by default the whole of H_1 = TG.  ``goto(s)`` returns the rows at
+    index s as [row][col] coefficient lists in [0, m).  Any modulus m >= 2 is
+    exact: the numpy block is int64 only while an output coefficient, a sum
+    of n·len(TG) + len(T) + len(T') products of residues, stays below 2^63,
+    and of dtype ``object`` otherwise.
     """
 
     def __init__(
@@ -201,22 +230,37 @@ class ClearedSequenceMod:
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
         self.m = m
-        self.t = _trim_list([c % m for c in t_coeffs])
-        self.dt = _trim_list([i * c % m for i, c in enumerate(t_coeffs)][1:])
-        tg_len = max((len(c) for row in tg for c in row), default=0)
-        dtype = _dtype(len(tg) * tg_len + len(self.t) + len(self.dt), m)
-        self.tg = _block(tg, m, dtype)
+        self.t = _reduce(t_coeffs, m)
+        self.dt = _reduce([i * c for i, c in enumerate(t_coeffs)][1:], m)
+        self.tg = [[_reduce(c, m) for c in row] for row in tg]
         self.s = s
-        self.current = _block(tg if start is None else start, m, dtype)
+        self.rows = [[_reduce(c, m) for c in row] for row in (tg if start is None else start)]
+        self.block = self.tg_block = None  # numpy storage, once over budget
 
     def advance(self):
         """Step from H_s to H_{s+1}."""
+        global _list_work
+        if self.block is None and _list_work < LIST_WORK_BUDGET:
+            _list_work += sum(len(c) for row in self.rows for c in row)
+            self.rows = growth._step(self.rows, self.s, self.t, self.tg, self.m)
+        else:
+            self._advance_block()
+        self.s += 1
+
+    def _advance_block(self):
         np = _numpy()
-        h, m = self.current, self.m
+        m = self.m
+        if self.block is None:
+            tg_len = max((len(c) for row in self.tg for c in row), default=0)
+            dtype = _dtype(len(self.tg) * tg_len + len(self.t) + len(self.dt), m)
+            self.tg_block = _block(self.tg, dtype)
+            self.block = _block(self.rows, dtype)
+            self.rows = None
+        h = self.block
         d = len(h)
-        size = max(d + max(len(self.tg), len(self.t) - 1, len(self.dt)) - 1, 0)
+        size = max(d + max(len(self.tg_block), len(self.t) - 1, len(self.dt)) - 1, 0)
         out = np.zeros((size,) + h.shape[1:], dtype=h.dtype)
-        for e, coeff in enumerate(self.tg):
+        for e, coeff in enumerate(self.tg_block):
             out[e : e + d] += h @ coeff
         if d > 1:
             # T H': the coefficient t_i of T scales z^(k-1) by t_i k
@@ -229,15 +273,16 @@ class ClearedSequenceMod:
             if c:
                 out[i : i + d] += c * h
         out %= m
-        self.current = _trim(out)
-        self.s += 1
+        self.block = _trim(out)
 
-    def goto(self, s: int):
+    def goto(self, s: int) -> list[list[list[int]]]:
         if s < self.s:
             raise ValueError("sequence cannot rewind")
         while self.s < s:
             self.advance()
-        return self.current
+        return self.rows if self.block is None else _block_entries(self.block)
 
     def is_zero(self) -> bool:
-        return len(self.current) == 0
+        if self.block is not None:
+            return len(self.block) == 0
+        return not any(c for row in self.rows for c in row)

@@ -12,10 +12,11 @@ operator: the matrix power test (H_p)^n = 0, and right division of D^(pn) by
 L mod p, run as the row e_0 of the same recurrence.  The scan records whether
 the two agree when an operator is available.
 
-Matrices over F_p[z] are ``FpMat`` blocks of shape (degree+1, n, n), the
-engine's own layout; their products convolve entry by entry.  The first
-p-curvature computed in a process loads numpy (``modp`` defers the import to
-the engine), so commands that never reach this module do not pay for it.
+Matrices over F_p[z] are ``FpMat`` [row][col] coefficient lists, the
+layout the engine returns; their products go through Kronecker
+substitution on Python integers.  numpy is loaded only once a process has
+done about one numpy import's worth of list steps in the engine (see
+``modp``), so short scans and single small primes never load it.
 """
 
 from __future__ import annotations

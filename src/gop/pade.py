@@ -179,7 +179,7 @@ def derived_tower(ps: Sequence[Poly], g: RatMat, h_max: int) -> list[list[Poly]]
     tower = [list(ps)]
     scale = d
     for m in range(h_max):
-        w = _step(w, m, sys.t, sys.dt, neg_tg_t)
+        w = _step(w, m, sys.t, neg_tg_t)
         scale *= m + 1
         tower.append([Poly([Fraction(c, scale) for c in poly]) for poly in w[0]])
     return tower

@@ -24,6 +24,7 @@ from gop.errors import InsufficientTruncation
 from gop.exact_arith import GAUSS_INF, Poly, RatFn, as_fraction, gauss_valuation, primes_upto, vp_fraction, vp_int
 from gop.growth import ExactLog, cleared_system
 from gop.local_analysis import regular_series_solutions
+from gop import modp
 from gop.modp import reduce_ratfn_mod_p
 
 # ---------------------------------------------------------------------------
@@ -57,6 +58,26 @@ def every_catalog_system():
         if entry.system is not None:
             out.append((f"{entry.id}:system", entry.system))
     return out
+
+
+def drawn_operator(rng, basis):
+    """An operator of order 1..3 with polynomial coefficients whose
+    rational coefficients have denominators dividing 6."""
+    order = rng.randint(1, 3)
+    coeffs = [
+        Poly([Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 6))) for _ in range(rng.randint(1, 3))])
+        for _ in range(order + 1)
+    ]
+    if coeffs[-1].is_zero():
+        coeffs[-1] = Poly([rng.choice((2, 3, 6)), rng.randint(-3, 3)])
+    return DiffOp(basis, coeffs)
+
+
+def force_storage(monkeypatch, budget):
+    """Make modp.ClearedSequenceMod step numpy blocks from the first step
+    (budget 0) or [row][col] lists throughout (an unbounded budget)."""
+    monkeypatch.setattr(modp, "LIST_WORK_BUDGET", budget)
+    monkeypatch.setattr(modp, "_list_work", 0)
 
 
 # ---------------------------------------------------------------------------

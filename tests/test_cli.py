@@ -14,9 +14,18 @@ from jsonschema import validate
 
 import gop
 from gop.catalog import CATALOG, hypergeom_operator
-from gop.cli import main, operator_text, parse_operator, run_command
+from gop.cli import (
+    PCURV_PRIME_MAX,
+    SCAN_PRIME_MAX,
+    SMAX_MAX,
+    main,
+    operator_text,
+    parse_operator,
+    run_command,
+)
 from gop.diffop import Basis, DiffOp
 from gop.errors import MixedBasisError, ParseError
+from gop.exact_arith import is_prime
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -197,10 +206,25 @@ def _run_in_child(cases):
     return results
 
 
+# the envelope of a UsageError, exit code 1
+USAGE_ERROR_SCHEMA = {
+    "type": "object",
+    "required": ["tool", "version", "command", "error"],
+    "additionalProperties": False,
+    "properties": {
+        "tool": {"const": "gop"},
+        "version": {"type": "string"},
+        "command": {"type": "string"},
+        "error": {"type": "string"},
+    },
+}
+
+
 def _assert_usage_errors(cases):
-    for argv, (code, has_error, seconds, _) in zip(cases, _run_in_child(cases)):
+    for argv, (code, has_error, seconds, env) in zip(cases, _run_in_child(cases)):
         assert code == 1 and has_error, argv
         assert seconds < 5, argv
+        validate(env, USAGE_ERROR_SCHEMA)
 
 
 def test_prime_validated_at_boundary():
@@ -234,6 +258,22 @@ def test_catalog_ids_and_points_validated_at_boundary():
         ("scan", ["--primes", "2..5"]), ("galochkin", []), ("size", ["--s", "3", "--prime-bound", "5"]),
         ("radius", ["--prime", "3", "--smax", "5"]), ("bombieri", ["--s", "3", "--prime-bound", "5"]))]
     _assert_usage_errors(cases)
+
+
+def test_work_flags_bounded_at_boundary():
+    # pcurv at p near 10^18 needs about 10^18 recurrence steps and galochkin
+    # at smax 10^8 as many integer steps; past each bound the command refuses
+    # before any arithmetic
+    above_pcurv = next(p for p in range(PCURV_PRIME_MAX + 1, 2 * PCURV_PRIME_MAX) if is_prime(p))
+    _assert_usage_errors([
+        ["pcurv", "--catalog", "polylog:2", "--prime", "1000000000000000009"],
+        ["pcurv", "--catalog", "polylog:2", "--prime", str(above_pcurv)],
+        ["scan", "--catalog", "polylog:2", "--primes", f"2..{SCAN_PRIME_MAX + 1}"],
+        ["scan", "--catalog", "polylog:2", "--primes", "2..1000000000000000009"],
+        ["galochkin", "--catalog", "polylog:1", "--smax", "100000000"],
+        ["galochkin", "--catalog", "polylog:1", "--smax", str(SMAX_MAX + 1)],
+        ["radius", "--catalog", "polylog:1", "--prime", "2", "--smax", "100000000"],
+    ])
 
 
 def test_radius_at_large_prime():
@@ -278,14 +318,17 @@ def test_siegel_bound_past_float_range():
 
 
 def test_numpy_loaded_only_by_the_mod_p_engine():
+    # the mod-p engine steps lists until the process has done about one numpy
+    # import's worth of list work, and numpy blocks from then on
     script = (
         "import contextlib, io, sys\n"
         "import gop.cli\n"
         "print('numpy' in sys.modules)\n"
         "for argv in (['bombieri', '--catalog', 'polylog:2', '--s', '20', '--prime-bound', '20'],\n"
-        "             ['scan', '--catalog', 'polylog:2', '--primes', '2..5']):\n"
+        "             ['scan', '--catalog', 'polylog:2', '--primes', '2..5'],\n"
+        "             ['scan', '--catalog', 'gauss2f1', '--primes', '2..200']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert gop.cli.main(argv) == 0\n"
         "    print('numpy' in sys.modules)\n"
     )
-    assert _child_stdout(script).split() == ["False", "False", "True"]
+    assert _child_stdout(script).split() == ["False", "False", "False", "True"]

@@ -1,12 +1,13 @@
 """Galochkin trace, size and radius estimates, derivative bounds, sandwich."""
 
 import math
+import random
 from fractions import Fraction
 
-from gop import growth
+from gop import growth, modp
 from gop.catalog import polylog_operator, polylog_system
 from gop.cli import parse_operator
-from gop.diffop import RatMat, companion
+from gop.diffop import Basis, RatMat, companion
 from gop.exact_arith import (
     Poly,
     RatFn,
@@ -27,10 +28,18 @@ from gop.growth import (
     radius_estimate,
     size_estimate,
 )
-from gop.modp import ClearedSequenceMod, block_entries
+from gop.modp import ClearedSequenceMod
 from gop.p_curvature import is_nilpotent, p_curvature
 from gop.errors import BadPrime
-from oracles import catalog_systems, every_catalog_system, exact_log_of_integer, lcm_upto, naive_gs_sequence
+from oracles import (
+    catalog_systems,
+    drawn_operator,
+    every_catalog_system,
+    exact_log_of_integer,
+    force_storage,
+    lcm_upto,
+    naive_gs_sequence,
+)
 
 LI1_COMP = companion(polylog_operator(1))
 LI2_SYS = polylog_system(2)
@@ -205,21 +214,45 @@ def test_nilpotence_valuation_bound():
                 assert nilpotence_valuation_bound(g, p, 3), (label, p)
 
 
-def test_modular_engine_matches_integers_at_large_modulus():
+def test_modular_engine_matches_integers_at_large_modulus(monkeypatch):
     # past 2^31 products of residues pass 2^63, where int64 arithmetic wraps
     # (72 coefficients of polylog:2's H_24 mod 2^61 - 1 would come out
-    # wrong); the engine must be exact at every modulus, 2^89 - 1 included
-    for label, g in catalog_systems():
+    # wrong); the engine must be exact at every modulus, 2^89 - 1 included,
+    # on lists, on numpy blocks, and across a switch between the two
+    rng = random.Random(90)
+    systems = list(every_catalog_system())
+    for k in range(16):
+        basis = (Basis.D, Basis.THETA)[k % 2]
+        systems.append((f"drawn:{basis.value}:{k}", companion(drawn_operator(rng, basis))))
+    for label, g in systems:
         sys = cleared_system(g)
         for m in (7, 27, 2**31 - 1, 2**61 - 1, 2**89 - 1):
-            seq = ClearedSequenceMod(sys.t, sys.tg, m)
+            want = []
             for s in range(1, 31):
-                want = [[[c % m for c in poly] for poly in row] for row in sys.h(s)]
-                for row in want:
+                want.append([[[c % m for c in poly] for poly in row] for row in sys.h(s)])
+                for row in want[-1]:
                     for poly in row:
                         while poly and poly[-1] == 0:
                             poly.pop()
-                assert block_entries(seq.goto(s)) == want, (label, m, s)
+            force_storage(monkeypatch, math.inf)
+            seq = ClearedSequenceMod(sys.t, sys.tg, m)
+            assert [seq.goto(s) for s in range(1, 16)] == want[:15], (label, m)
+            switch = modp._list_work  # the work of the first 14 steps
+            assert [seq.goto(s) for s in range(16, 31)] == want[15:], (label, m)
+            assert seq.block is None
+            force_storage(monkeypatch, 0)
+            seq = ClearedSequenceMod(sys.t, sys.tg, m)
+            assert [seq.goto(s) for s in range(1, 31)] == want, (label, m)
+            assert seq.block is not None
+            force_storage(monkeypatch, switch)
+            seq = ClearedSequenceMod(sys.t, sys.tg, m)
+            on_lists = []
+            for s in range(1, 31):
+                assert seq.goto(s) == want[s - 1], (label, m, s)
+                on_lists.append(seq.block is None)
+            # lists while under budget, then numpy from the 15th step at the latest
+            assert on_lists == sorted(on_lists, reverse=True), (label, m)
+            assert on_lists[1] == (switch > 0) and not any(on_lists[15:]), (label, m)
 
 
 def test_exactlog_arithmetic():

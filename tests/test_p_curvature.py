@@ -1,9 +1,9 @@
 """Reduction mod p, p-curvature, nilpotence tests, scans."""
 
+import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from gop.catalog import (
@@ -19,7 +19,7 @@ from gop.diffop import Basis, DiffOp, RatMat, companion
 from gop.errors import BadPrime, IrregularPoint
 from gop.exact_arith import Poly, RatFn, primes_upto
 from gop.growth import cleared_system
-from gop.modp import ClearedSequenceMod, block_entries, reduce_poly_mod_p, reduce_ratfn_mod_p
+from gop.modp import ClearedSequenceMod, reduce_poly_mod_p, reduce_ratfn_mod_p
 from gop.p_curvature import (
     FpMat,
     global_scan,
@@ -31,7 +31,9 @@ from gop.p_curvature import (
 )
 from oracles import (
     catalog_systems,
+    drawn_operator,
     every_catalog_system,
+    force_storage,
     gauss_rule_is_bad,
     naive_division_vanishes,
     naive_gs_sequence,
@@ -63,14 +65,14 @@ def test_p_curvature_examples():
 
 
 def test_is_nilpotent_examples():
-    # blocks of shape (degree+1, n, n), block[e] the z^e coefficients
+    # [row][col] coefficient lists, low degree first; [] is a zero entry
     p = 7
-    upper = FpMat(p, np.array([[[0, 1], [0, 0]]], dtype=np.int64))
+    upper = FpMat(p, [[[], [1]], [[], []]])
     assert is_nilpotent(upper) == (True, 2)
-    ident = FpMat(p, np.array([[[1, 0], [0, 1]]], dtype=np.int64))
+    ident = FpMat(p, [[[1], []], [[], [1]]])
     assert is_nilpotent(ident) == (False, None)
     # a polynomial corner entry: still index 2 over F_7[z]
-    z = np.array([[[0, 0], [0, 0]], [[0, 1], [0, 0]]], dtype=np.int64)
+    z = [[[], [0, 1]], [[], []]]
     assert is_nilpotent(FpMat(p, z)) == (True, 2)
     li2gp = p_curvature(companion(polylog_operator(2)), 5)
     nil, idx = is_nilpotent(li2gp)
@@ -146,7 +148,7 @@ def test_reduction_commutes_with_recurrence():
         for p in (3, 7):
             seq = ClearedSequenceMod(sys.t, sys.tg, p)
             for s in range(1, 21):
-                native = block_entries(seq.goto(s))
+                native = seq.goto(s)
                 reduced = [
                     [reduce_poly_mod_p((t**s * e.num).exact_div(e.den), p) for e in row]
                     for row in char0[s - 1].entries
@@ -165,19 +167,6 @@ def test_matrix_and_division_agree_catalog():
             except BadPrime:
                 continue
             assert mat == div, (entry_id, p)
-
-
-def _drawn_operator(rng, basis):
-    """An operator of order 1..3 with polynomial coefficients whose
-    rational coefficients have denominators dividing 6."""
-    order = rng.randint(1, 3)
-    coeffs = [
-        Poly([Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 6))) for _ in range(rng.randint(1, 3))])
-        for _ in range(order + 1)
-    ]
-    if coeffs[-1].is_zero():
-        coeffs[-1] = Poly([rng.choice((2, 3, 6)), rng.randint(-3, 3)])
-    return DiffOp(basis, coeffs)
 
 
 def test_division_matches_naive_remainder():
@@ -203,7 +192,7 @@ def test_good_prime_rule_matches_gauss_valuation():
     systems = list(every_catalog_system())
     for basis in (Basis.D, Basis.THETA):
         for k in range(12):
-            systems.append((f"drawn:{basis.value}:{k}", companion(_drawn_operator(rng, basis))))
+            systems.append((f"drawn:{basis.value}:{k}", companion(drawn_operator(rng, basis))))
     for label, g in systems:
         for p in primes_upto(60):
             bad = gauss_rule_is_bad(g, p)
@@ -229,3 +218,64 @@ def test_katz_honda_necessary_condition():
                     assert katz_honda_check(op, p)
                 except IrregularPoint:
                     pass
+
+
+def _schoolbook_product(a, b, p):
+    n = len(a)
+    out = [[[0] * (2 * max(len(c) for row in a + b for c in row)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for u, x in enumerate(a[i][k]):
+                    for v, y in enumerate(b[k][j]):
+                        out[i][j][u + v] += x * y
+            out[i][j] = [c % p for c in out[i][j]]
+            while out[i][j] and out[i][j][-1] == 0:
+                out[i][j].pop()
+    return out
+
+
+def test_kronecker_product_matches_schoolbook():
+    rng = random.Random(17)
+    for p in (2, 3, 101, 2**31 - 1, 2**61 - 1):
+        for _ in range(40):
+            n = rng.randint(1, 4)
+
+            def entry():
+                kind = rng.random()
+                if kind < 0.25:
+                    return []
+                if kind < 0.45:
+                    return [rng.randrange(1, p)]
+                if kind < 0.6:  # every coefficient p - 1: the largest sums
+                    return [p - 1] * rng.randint(1, 12)
+                coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 12))]
+                return coeffs[:-1] + [rng.randrange(1, p)]
+
+            a = [[entry() for _ in range(n)] for _ in range(n)]
+            b = [[entry() for _ in range(n)] for _ in range(n)]
+            assert (FpMat(p, a) * FpMat(p, b)).entries == _schoolbook_product(a, b, p), (p, a, b)
+        # entries of p - 1 as long as one product of two of them still fits
+        # the byte slots it needs alone: the sum over k needs wider slots
+        square = (p - 1) ** 2
+        full = [[[p - 1] * ((256 ** -(-square.bit_length() // 8) - 1) // square)] * 4] * 4
+        assert (FpMat(p, full) * FpMat(p, full)).entries == _schoolbook_product(full, full, p), p
+
+
+def _scan_rows(subject, primes):
+    return [(r.prime, r.status, r.nilpotence_index, r.method_agreement, r.detail)
+            for r in global_scan(subject, primes).reports]
+
+
+def test_scan_same_on_both_storages(monkeypatch):
+    # lists cost about nine times numpy at p near 300 for the drawn order-3
+    # operators, so the range stops at 70 to keep the test short
+    rng = random.Random(91)
+    subjects = [e.operator if e.system is None else e.system for e in CATALOG.values()]
+    subjects += [drawn_operator(rng, (Basis.D, Basis.THETA)[k % 2]) for k in range(16)]
+    primes = primes_upto(70)
+    for subject in subjects:
+        force_storage(monkeypatch, math.inf)
+        on_lists = _scan_rows(subject, primes)
+        force_storage(monkeypatch, 0)
+        assert _scan_rows(subject, primes) == on_lists, subject
