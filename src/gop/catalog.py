@@ -9,9 +9,8 @@ exponent counterexample, each with the closed-form series coefficients
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .diffop import Basis, DiffOp, RatMat, TruncatedSeries, op_mul, op_pow, op_sub
 from .errors import InvalidParameters
@@ -22,8 +21,7 @@ from .exact_arith import Poly, RatFn, as_fraction, pochhammer
 # coefficient generators
 
 
-@dataclass(frozen=True)
-class CoeffGenerator:
+class CoeffGenerator(NamedTuple):
     """Deterministic closed-form coefficient rule a_n in Q."""
 
     rule: str
@@ -148,8 +146,7 @@ def counterexample_theta2_minus_2() -> DiffOp:
 # the catalog proper
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     id: str
     description: str
     operator: DiffOp

@@ -375,6 +375,13 @@ SCAN_PRIME_MAX = 1000
 # galochkin and radius run smax integer steps and keep every H_s: galochkin on
 # gauss2f1 at smax 500 took 7.2 s and 254 MB peak RSS
 SMAX_MAX = 500
+# size and bombieri run s of those steps and then read each prime p <= s off
+# every H_m: bombieri on gauss2f1 at s 500 took 6.2 s and 255 MB peak RSS
+S_MAX = 500
+# pade solves n·M order conditions in N + 1 unknowns over Q, n the system
+# dimension: polylog:3 at N 200 took 3.1 s with M 6 and 8.4 s with M 20
+PADE_N_MAX = 200
+PADE_M_MAX = 20
 
 
 def _parse_primes(text: str) -> list[int]:
@@ -528,6 +535,7 @@ def _cmd_galochkin(args) -> dict:
 
 def _cmd_size(args) -> dict:
     _check_at_least("--s", args.s, 1)
+    _check_at_most("--s", args.s, S_MAX)
     label, g = _resolve_system(args)
     value = size_estimate(g, args.s, args.prime_bound)
     return {
@@ -555,6 +563,7 @@ def _cmd_radius(args) -> dict:
 
 def _cmd_bombieri(args) -> dict:
     _check_at_least("--s", args.s, 1)
+    _check_at_most("--s", args.s, S_MAX)
     label, g = _resolve_system(args)
     rep = bombieri_report(g, args.s, args.prime_bound, slack=args.slack)
     return {"input": label} | bombieri_json(rep)
@@ -563,6 +572,8 @@ def _cmd_bombieri(args) -> dict:
 def _cmd_pade(args) -> dict:
     _check_at_least("--N", args.N, 0)
     _check_at_least("--M", args.M, 0)
+    _check_at_most("--N", args.N, PADE_N_MAX)
+    _check_at_most("--M", args.M, PADE_M_MAX)
     if args.series:
         f = _load_series_file(args.series)
         q, ps = pade_type2(f, args.N, args.M)

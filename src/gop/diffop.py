@@ -24,6 +24,7 @@ from .errors import InsufficientTruncation
 from .exact_arith import (
     Poly,
     RatFn,
+    _cleared_product,
     as_fraction,
     as_ratfn,
     falling_factorial_poly,
@@ -399,12 +400,9 @@ class TruncatedSeries:
         return TruncatedSeries([c * a for a in self.coeffs])
 
     def mul_poly(self, p: Poly) -> "TruncatedSeries":
-        out = [Fraction(0)] * self.trunc_order
-        for i, c in enumerate(p.coeffs):
-            if c:
-                for j in range(self.trunc_order - i):
-                    out[i + j] += c * self.coeffs[j]
-        return TruncatedSeries(out)
+        """The product with p, known to the same order: _cleared_product of
+        the integer numerators, truncated to trunc_order."""
+        return TruncatedSeries(_cleared_product(self.coeffs, p.coeffs, self.trunc_order))
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:6])

@@ -273,18 +273,17 @@ class Poly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other):
+        """Product with a scalar, coefficient by coefficient, or with a
+        polynomial, by _cleared_product on the integer numerators of both
+        factors; either way every coefficient is a canonical Fraction."""
         if isinstance(other, (int, Fraction)):
             c = as_fraction(other)
             return Poly([c * a for a in self.coeffs])
         other = _as_poly(other)
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        size = len(self.coeffs) + len(other.coeffs) - 1
+        return Poly(_cleared_product(self.coeffs, other.coeffs, size))
 
     __rmul__ = __mul__
 
@@ -465,6 +464,32 @@ class Poly:
 
 Poly.ZERO = Poly()
 Poly.ONE = Poly([1])
+
+
+def _cleared(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(nums, d) with cs[i] = nums[i] / d, d the lcm of the denominators."""
+    d = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _cleared_product(xs: Sequence[Fraction], ys: Sequence[Fraction], size: int) -> list[Fraction]:
+    """The first size coefficients of (sum xs[i] z^i)(sum ys[j] z^j) over Q.
+
+    Both factors are cleared to integers over the lcm of their denominators,
+    multiplied by slices on the integers, and each output coefficient becomes
+    one canonical Fraction over the product of the two lcms: one gcd per
+    output coefficient instead of one per term of the schoolbook sum."""
+    a, da = _cleared(xs[:size])
+    b, db = _cleared(ys[:size])
+    if len(a) < len(b):
+        a, b = b, a
+    width = len(a)
+    acc = [0] * size
+    for i, x in enumerate(b):
+        if x:
+            acc[i : i + width] = [u + x * y for u, y in zip(acc[i : i + width], a)]
+    d = da * db
+    return [Fraction(c, d) for c in acc]
 
 
 def _as_poly(x) -> Poly:

@@ -23,8 +23,8 @@ for as long as possible; floats appear only in reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diffop import RatMat
 from .exact_arith import (
@@ -42,16 +42,16 @@ from .exact_arith import (
 from . import modp
 
 
-@dataclass
 class _IntSystem:
     """Integer cleared form of a system plus the growing H_s list and the
     contents of its members."""
 
-    n: int
-    t: list[int]
-    tg: list[list[list[int]]]
-    hs: list  # hs[s-1] = H_s as int coefficient lists
-    contents: list[int] = field(default_factory=list)  # gcd of H_s's coefficients
+    def __init__(self, n: int, t: list[int], tg: list[list[list[int]]], hs: list):
+        self.n = n
+        self.t = t
+        self.tg = tg
+        self.hs = hs  # hs[s-1] = H_s as int coefficient lists
+        self.contents: list[int] = []  # gcd of H_s's coefficients
 
     def h(self, s: int):
         while len(self.hs) < s:
@@ -222,8 +222,7 @@ class ExactLog:
 # Galochkin trace
 
 
-@dataclass(frozen=True)
-class GalochkinTrace:
+class GalochkinTrace(NamedTuple):
     T: Poly
     s_values: tuple[int, ...]
     q: tuple[int, ...]
@@ -332,8 +331,7 @@ def dwork_robba_check(g: RatMat, p: int, s_max: int) -> list[bool]:
     return out
 
 
-@dataclass(frozen=True)
-class SizeRadiusReport:
+class SizeRadiusReport(NamedTuple):
     n: int
     s_max: int
     prime_bound: int

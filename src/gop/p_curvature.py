@@ -22,8 +22,7 @@ done about one numpy import's worth of list steps in the engine (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .diffop import DiffOp, RatMat, companion, monic_theta_coefficients
 from .errors import BadPrime, IrregularPoint
@@ -140,8 +139,7 @@ def relation_gp_power_holds(g: RatMat, p: int, k_max: int) -> bool:
 # scans
 
 
-@dataclass(frozen=True)
-class PCurvatureReport:
+class PCurvatureReport(NamedTuple):
     prime: int
     status: str  # "Nilpotent" | "NonNilpotent" | "BadPrime"
     nilpotence_index: Optional[int]
@@ -149,8 +147,7 @@ class PCurvatureReport:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class GlobalScan:
+class GlobalScan(NamedTuple):
     subject: str
     primes: tuple[int, ...]
     reports: tuple[PCurvatureReport, ...]

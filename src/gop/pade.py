@@ -10,10 +10,9 @@ particular meets the N+M contract of the downstream identities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .diffop import RatMat, TruncatedSeries
 from .errors import InsufficientTruncation, NoSolution
@@ -240,8 +239,7 @@ def verify_similileibniz(g: RatMat, ps: Sequence[Poly], s_max: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PadeSystem:
+class PadeSystem(NamedTuple):
     big_n: int
     big_m: int
     q: Poly

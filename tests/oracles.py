@@ -81,6 +81,23 @@ def force_storage(monkeypatch, budget):
 
 
 # ---------------------------------------------------------------------------
+# polynomial and series products
+
+
+def schoolbook_product(xs, ys, size=None) -> list[Fraction]:
+    """The first size coefficients (all of them by default) of
+    (sum xs[i] z^i)(sum ys[j] z^j), one Fraction product per pair of terms."""
+    if size is None:
+        size = len(xs) + len(ys) - 1 if xs and ys else 0
+    out = [Fraction(0)] * size
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            if i + j < size:
+                out[i + j] += Fraction(a) * Fraction(b)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # derived matrices and towers
 
 

@@ -127,6 +127,11 @@ def test_catalog_surface():
     }
     entry = catalog_get("polylog:3")
     assert entry.operator.order == 4
+    # catalog records are immutable
+    with pytest.raises(AttributeError):
+        entry.operator = None
+    with pytest.raises(AttributeError):
+        entry.solution.rule = "geometric"
     with pytest.raises(KeyError):
         catalog_get("nope")
     labels = [label for label, _ in catalog_systems()]

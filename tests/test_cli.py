@@ -15,7 +15,10 @@ from jsonschema import validate
 import gop
 from gop.catalog import CATALOG, hypergeom_operator
 from gop.cli import (
+    PADE_M_MAX,
+    PADE_N_MAX,
     PCURV_PRIME_MAX,
+    S_MAX,
     SCAN_PRIME_MAX,
     SMAX_MAX,
     main,
@@ -26,6 +29,7 @@ from gop.cli import (
 from gop.diffop import Basis, DiffOp
 from gop.errors import MixedBasisError, ParseError
 from gop.exact_arith import is_prime
+from gop.local_analysis import APPARENT_ORDER_MAX
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -273,7 +277,21 @@ def test_work_flags_bounded_at_boundary():
         ["galochkin", "--catalog", "polylog:1", "--smax", "100000000"],
         ["galochkin", "--catalog", "polylog:1", "--smax", str(SMAX_MAX + 1)],
         ["radius", "--catalog", "polylog:1", "--prime", "2", "--smax", "100000000"],
+        ["size", "--catalog", "polylog:2", "--s", "2000", "--prime-bound", "5"],
+        ["size", "--catalog", "polylog:2", "--s", str(S_MAX + 1), "--prime-bound", "5"],
+        ["bombieri", "--catalog", "polylog:3", "--s", str(S_MAX + 1), "--prime-bound", "5"],
+        ["pade", "--catalog", "polylog:2", "--N", str(PADE_N_MAX + 1), "--M", "6"],
+        ["pade", "--catalog", "polylog:2", "--N", "20", "--M", str(PADE_M_MAX + 1)],
+        ["pade", "--catalog", "polylog:2", "--N", "100000000", "--M", "100000000"],
     ])
+
+
+def test_apparent_singularity_order_bounded():
+    # the exponents 0 and k at z = 0 make the apparent-singularity test expand
+    # the series to order k + 10; k = 20000 took 3 s and 0.8 GB unbounded
+    gap = APPARENT_ORDER_MAX - 9
+    _assert_usage_errors([["classify", f"theta^2 - {gap}*theta + z"],
+                          ["classify", "theta^2 - 20000*theta + z"]])
 
 
 def test_radius_at_large_prime():
@@ -315,6 +333,12 @@ def test_siegel_bound_past_float_range():
         exact = Decimal(u * height) ** (Decimal(m) / (u - m))
         assert abs(Decimal(siegel["bound"]) / exact - 1) < Decimal("1e-13")
     assert siegel["bound"] == "1.21821593487488e+321"
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # dataclasses pulls in inspect and ast, ~11 ms of every child's start
+    script = "import sys\nimport gop.cli\nprint('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    assert _child_stdout(script).split() == ["False", "False"]
 
 
 def test_numpy_loaded_only_by_the_mod_p_engine():

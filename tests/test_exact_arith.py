@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gop.diffop import TruncatedSeries
 from gop.exact_arith import (
     GAUSS_INF,
     Poly,
@@ -23,7 +24,7 @@ from gop.exact_arith import (
     resultant,
     vp_fraction,
 )
-from oracles import lcm_upto, series_gauss_valuation
+from oracles import lcm_upto, schoolbook_product, series_gauss_valuation
 
 PRIMES = (2, 3, 5)
 
@@ -189,6 +190,31 @@ def test_poly_divmod(a, b):
     q, r = a.divmod(b)
     assert q * b + r == a
     assert r.is_zero() or r.degree < b.degree
+
+
+def test_products_match_schoolbook():
+    # Poly x Poly and series x Poly clear denominators and multiply integers;
+    # the schoolbook Fraction sums are the reference, exactly
+    rng = random.Random(20)
+    big = 10**20
+    # three consecutive, so pairwise coprime, denominators near 10^20, and small ones
+    dens = [big - 1, big, big + 1, 1, 3, 7]
+
+    def coeff():
+        return Fraction(rng.randint(-big, big), rng.choice(dens)) if rng.random() < 0.8 else Fraction(0)
+
+    polys = [[], [0], [5], [Fraction(-7, big + 1)], [0, 0, Fraction(1, big - 1)]]
+    polys += [[coeff() for _ in range(rng.randint(1, 9))] for _ in range(30)]
+    for a in polys:
+        for b in polys[:12]:
+            pa, pb = Poly(a), Poly(b)
+            assert (pa * pb).coeffs == tuple(schoolbook_product(pa.coeffs, pb.coeffs)), (a, b)
+            # trunc_order 0, shorter than, equal to and longer than pb
+            for order in (0, 1, len(pb.coeffs), len(pb.coeffs) + 4):
+                f = TruncatedSeries([coeff() for _ in range(order)])
+                want = schoolbook_product(f.coeffs, pb.coeffs, order)
+                assert f.mul_poly(pb).coeffs == tuple(want), (f, b)
+                assert f.mul_poly(pb).trunc_order == order
 
 
 def test_rational_roots_and_squarefree():
