@@ -8,16 +8,20 @@ parenthesized groups, which the catalog operators need):
     atom     := primary ["^" nat]
     primary  := nat | "z" | "D" | "theta" | "(" operator ")"
 
-Juxtaposition is never multiplication; "*" is mandatory.  "/" requires both
-sides free of derivation symbols.  Mixing D and theta is an error.  Scalars
-embed as order-0 operators, so the usual precedence rules give the intended
-non-commutative semantics.
+Juxtaposition is never multiplication; "*" is mandatory.  Every value is a
+DiffOp: a number or z is an order-0 operator, and "+", "-", "*" and "^" are
+op_add, op_sub, op_mul and op_pow, so the usual precedence rules give the
+intended non-commutative semantics.  "/" needs both operands of order <= 0
+and divides their rational functions; D - D is the zero operator, so
+2/(D-D) is a division by zero.  Mixing D and theta is an error.  A result of
+order <= 0 takes the basis the expression names, D when it names none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from decimal import Decimal
@@ -34,6 +38,10 @@ from .diffop import (
     TruncatedSeries,
     companion,
     is_infinity,
+    op_add,
+    op_mul,
+    op_pow,
+    op_sub,
     operator_text,
 )
 from .errors import DomainError, MixedBasisError, ParseError, UsageError
@@ -139,107 +147,69 @@ class _Parser:
         elif self.basis is not basis:
             raise MixedBasisError("both D and theta appear in one expression")
 
-    # values are ("scalar", RatFn) or ("op", DiffOp)
-
     def parse(self) -> DiffOp:
         value = self.sum()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"trailing input at {tok.kind!r}", tok.line, tok.col)
-        if value[0] == "scalar":
-            return DiffOp(self.basis or Basis.D, [value[1]])
-        return value[1]
+        if value.order <= 0:
+            # the basis of a scalar is arbitrary until the expression names one
+            return DiffOp(self.basis or Basis.D, value.coeffs)
+        return value
 
-    def sum(self):
+    def sum(self) -> DiffOp:
         negate = False
         if self.peek().kind == "-":
             self.take()
             negate = True
         acc = self.prod()
         if negate:
-            acc = _neg(acc)
+            acc = acc.scaled(-1)
         while self.peek().kind in ("+", "-"):
             op = self.take().kind
             rhs = self.prod()
-            acc = _add(acc, rhs) if op == "+" else _add(acc, _neg(rhs))
+            acc = op_add(acc, rhs) if op == "+" else op_sub(acc, rhs)
         return acc
 
-    def prod(self):
+    def prod(self) -> DiffOp:
         acc = self.atom()
         while self.peek().kind in ("*", "/"):
             tok = self.take()
             rhs = self.atom()
             if tok.kind == "*":
-                acc = _mul(acc, rhs)
-            else:
-                if acc[0] != "scalar" or rhs[0] != "scalar":
-                    raise ParseError("division needs scalar operands", tok.line, tok.col)
-                if rhs[1].is_zero():
-                    raise ParseError("division by zero", tok.line, tok.col)
-                acc = ("scalar", acc[1] / rhs[1])
+                acc = op_mul(acc, rhs)
+                continue
+            if acc.order > 0 or rhs.order > 0:
+                raise ParseError("division needs scalar operands", tok.line, tok.col)
+            if rhs.is_zero():
+                raise ParseError("division by zero", tok.line, tok.col)
+            acc = DiffOp(acc.basis, [acc.coeff(0) / rhs.coeff(0)])
         return acc
 
-    def atom(self):
+    def atom(self) -> DiffOp:
         value = self.primary()
         if self.peek().kind == "^":
             self.take()
-            tok = self.take("num")
-            n = tok.value
-            if value[0] == "scalar":
-                value = ("scalar", value[1] ** n)
-            else:
-                from .diffop import op_pow
-
-                value = ("op", op_pow(value[1], n))
+            value = op_pow(value, self.take("num").value)
         return value
 
-    def primary(self):
+    def primary(self) -> DiffOp:
         tok = self.take()
         if tok.kind == "num":
-            return ("scalar", RatFn.const(tok.value))
+            return DiffOp(Basis.D, [tok.value])
         if tok.kind == "z":
-            return ("scalar", RatFn.Z)
+            return DiffOp(Basis.D, [RatFn.Z])
         if tok.kind == "D":
             self._use_basis(Basis.D, tok)
-            return ("op", DiffOp(Basis.D, [0, 1]))
+            return DiffOp(Basis.D, [0, 1])
         if tok.kind == "theta":
             self._use_basis(Basis.THETA, tok)
-            return ("op", DiffOp(Basis.THETA, [0, 1]))
+            return DiffOp(Basis.THETA, [0, 1])
         if tok.kind == "(":
             inner = self.sum()
             self.take(")")
             return inner
         raise ParseError(f"unexpected {tok.kind!r}", tok.line, tok.col)
-
-
-def _neg(v):
-    if v[0] == "scalar":
-        return ("scalar", -v[1])
-    return ("op", v[1].scaled(-1))
-
-
-def _promote(v, basis: Basis) -> DiffOp:
-    if v[0] == "op":
-        return v[1]
-    return DiffOp(basis, [v[1]])
-
-
-def _add(a, b):
-    if a[0] == "scalar" and b[0] == "scalar":
-        return ("scalar", a[1] + b[1])
-    from .diffop import op_add
-
-    basis = a[1].basis if a[0] == "op" else b[1].basis
-    return ("op", op_add(_promote(a, basis), _promote(b, basis)))
-
-
-def _mul(a, b):
-    if a[0] == "scalar" and b[0] == "scalar":
-        return ("scalar", a[1] * b[1])
-    from .diffop import op_mul
-
-    basis = a[1].basis if a[0] == "op" else b[1].basis
-    return ("op", op_mul(_promote(a, basis), _promote(b, basis)))
 
 
 def parse_operator(text: str) -> DiffOp:
@@ -564,6 +534,8 @@ def _cmd_radius(args) -> dict:
 def _cmd_bombieri(args) -> dict:
     _check_at_least("--s", args.s, 1)
     _check_at_most("--s", args.s, S_MAX)
+    if not math.isfinite(args.slack):
+        raise UsageError(f"--slack must be a finite number, got {args.slack}")
     label, g = _resolve_system(args)
     rep = bombieri_report(g, args.s, args.prime_bound, slack=args.slack)
     return {"input": label} | bombieri_json(rep)

@@ -2,15 +2,17 @@
 
 Operators are immutable coefficient vectors over Q(z) in one of two bases:
 powers of D = d/dz or powers of theta = z*d/dz, with one canonical text
-rendering (operator_text).  The module also houses square matrices over Q(z)
-(RatMat, and companion matrices, computed once per operator) and truncated
-power series with explicit order bookkeeping.  It holds no series solver,
-does not apply operators to series and does not translate operators to
-other points: local_analysis reads every point, infinity included, off the
-cleared coefficients of the companion system, and power-series solutions
-come from local_analysis.regular_series_solutions.  The derived
-matrices G_s of a system live in growth, which reads them off the cleared
-integer recurrence.
+rendering (operator_text).  An operator keeps the basis it was built in;
+change_basis rewrites it in D, the form every analysis reads through its
+companion matrix, and nothing converts D back to theta.  The module also
+houses square matrices over Q(z) (RatMat, and companion matrices, computed
+once per operator) and truncated power series with explicit order
+bookkeeping.  It holds no series solver, does not apply operators to series
+and does not translate operators to other points: local_analysis reads
+every point, infinity included, off the cleared coefficients of the
+companion system, and power-series solutions come from
+local_analysis.regular_series_solutions.  The derived matrices G_s of a
+system live in growth, which reads them off the cleared integer recurrence.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .exact_arith import (
     _cleared_product,
     as_fraction,
     as_ratfn,
-    falling_factorial_poly,
     ratfn_text,
 )
 
@@ -196,48 +197,29 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
 
 
 def op_pow(a: DiffOp, n: int) -> DiffOp:
+    """a^n by repeated squaring; powers of one operator commute."""
     out = DiffOp(a.basis, [RatFn.ONE])
-    for _ in range(n):
-        out = op_mul(out, a)
+    while n:
+        if n & 1:
+            out = op_mul(out, a)
+        n >>= 1
+        if n:
+            a = op_mul(a, a)
     return out
 
 
-def change_basis(l: DiffOp, target: Basis) -> DiffOp:
-    """Exact rewrite in the other basis.  Conversion to theta additionally
-    normalizes the output monic (a left Q(z)-unit, which preserves solutions
-    and exponents)."""
-    if l.basis is target or l.is_zero():
+def change_basis(l: DiffOp) -> DiffOp:
+    """The D-basis form of l, exact: theta^m = sum_k S(m,k) z^k D^k."""
+    if l.basis is Basis.D:
         return l
-    n = l.order
-    if target is Basis.D:
-        # theta^m = sum_k S(m,k) z^k D^k
-        out = [RatFn.ZERO] * (n + 1)
-        for m, c in enumerate(l.coeffs):
-            if c.is_zero():
-                continue
-            row = _stirling2_row(m)
-            for k, s in enumerate(row):
-                if s:
-                    out[k] += c * RatFn(Poly.x(k, s))
-        return DiffOp(Basis.D, out)
-    # D^j = z^(-j) * x(x-1)...(x-j+1) evaluated at theta
-    out = [RatFn.ZERO] * (n + 1)
-    for j, c in enumerate(l.coeffs):
+    out = [RatFn.ZERO] * len(l.coeffs)
+    for m, c in enumerate(l.coeffs):
         if c.is_zero():
             continue
-        ff = falling_factorial_poly(j)
-        zj = RatFn(Poly.ONE, Poly.x(j))
-        for k in range(ff.degree + 1):
-            if ff[k]:
-                out[k] += c * zj * ff[k]
-    return DiffOp(Basis.THETA, out).monic()
-
-
-def monic_theta_coefficients(l: DiffOp) -> list[RatFn]:
-    """[A_1, ..., A_n] for the monic theta form theta^n + sum A_j theta^(n-j)."""
-    lt = change_basis(l, Basis.THETA).monic()
-    n = lt.order
-    return [lt.coeff(n - j) for j in range(1, n + 1)]
+        for k, s in enumerate(_stirling2_row(m)):
+            if s:
+                out[k] += c * RatFn(Poly.x(k, s))
+    return DiffOp(Basis.D, out)
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +244,6 @@ class RatMat:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    @staticmethod
-    def identity(n: int) -> "RatMat":
-        return RatMat([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zero(n: int) -> "RatMat":
-        return RatMat([[0] * n for _ in range(n)])
 
     def __eq__(self, other):
         return isinstance(other, RatMat) and self.entries == other.entries
@@ -320,12 +294,6 @@ class RatMat:
             for i in range(self.n)
         ]
 
-    def power(self, k: int) -> "RatMat":
-        out = RatMat.identity(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __repr__(self):
         return f"RatMat({[[repr(e) for e in row] for row in self.entries]})"
 
@@ -334,7 +302,7 @@ class RatMat:
 def companion(l: DiffOp) -> RatMat:
     """Companion matrix of the monic D-basis form: superdiagonal ones, last
     row (-a_n, ..., -a_1)."""
-    ld = change_basis(l, Basis.D).monic()
+    ld = change_basis(l).monic()
     n = ld.order
     if n < 1:
         raise ValueError("companion matrix needs order >= 1")

@@ -4,7 +4,7 @@ Everything here is immutable and pure.  Polynomials are dense lists of
 ``Fraction`` coefficients (index = degree); rational functions keep a monic,
 coprime denominator.  Valuations follow the logarithmic convention: the Gauss
 absolute value p^(-v) is represented by the integer v, with the zero function
-mapped to the distinguished :data:`GAUSS_INF` singleton.
+mapped to :data:`GAUSS_INF`, which is ``math.inf``.
 """
 
 from __future__ import annotations
@@ -134,55 +134,8 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-# ---------------------------------------------------------------------------
-# Gauss valuation infinity singleton
-
-
-class _GaussInfinity:
-    """Order-compatible stand-in for the valuation of the zero function."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "GAUSS_INF"
-
-    def __eq__(self, other):
-        return isinstance(other, _GaussInfinity)
-
-    def __hash__(self):
-        return hash("GAUSS_INF")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _GaussInfinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, _GaussInfinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        raise ArithmeticError("cannot negate an infinite valuation")
-
-
-GAUSS_INF = _GaussInfinity()
-
-
-def is_infinite(v) -> bool:
-    return isinstance(v, _GaussInfinity)
+# the Gauss valuation of the zero function
+GAUSS_INF = math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +266,6 @@ class Poly:
                 for j, b in enumerate(other.coeffs):
                     rem[j + k] -= c * b
         return Poly(quo), Poly(rem[:db])
-
-    def __floordiv__(self, other):
-        return self.divmod(_as_poly(other))[0]
 
     def __mod__(self, other):
         return self.divmod(_as_poly(other))[1]

@@ -33,7 +33,6 @@ from .exact_arith import (
     RatFn,
     accolade,
     as_ratfn,
-    is_infinite,
     kummer_vp_factorial,
     poly_lcm,
     primes_upto,
@@ -259,7 +258,7 @@ def h_s_p(g: RatMat, s: int, p: int) -> ExactLog:
     e = 0
     for m in range(1, s + 1):
         mv = sys.vp(m, p)
-        if is_infinite(mv):
+        if mv == GAUSS_INF:
             continue
         e = max(e, kummer_vp_factorial(m, p) - mv)
     return ExactLog.single(p, e) if e else ExactLog.zero()
@@ -296,7 +295,7 @@ def radius_estimate(
     best = Fraction(0)
     for s in range(lo, s_max + 1):
         mv = sys.vp(s, p)
-        if is_infinite(mv):
+        if mv == GAUSS_INF:
             continue
         cand = Fraction(kummer_vp_factorial(s, p) - mv, s)
         if cand > best:
@@ -317,12 +316,12 @@ def dwork_robba_check(g: RatMat, p: int, s_max: int) -> list[bool]:
     base = 0
     for i in range(1, n):
         mv = sys.vp(i, p)
-        if not is_infinite(mv):
+        if mv != GAUSS_INF:
             base = min(base, mv)
     out = []
     for s in range(1, s_max + 1):
         mv = sys.vp(s, p)
-        if is_infinite(mv):
+        if mv == GAUSS_INF:
             out.append(True)
             continue
         lhs = mv - kummer_vp_factorial(s, p)

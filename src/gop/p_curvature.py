@@ -12,6 +12,14 @@ operator: the matrix power test (H_p)^n = 0, and right division of D^(pn) by
 L mod p, run as the row e_0 of the same recurrence.  The scan records whether
 the two agree when an operator is available.
 
+Katz's indicial test (katz_honda_check) reads local_analysis's Frobenius
+rule at 0 off the monic D form, a_n = 1, reduced mod p, and asks whether
+the indicial polynomial splits over F_p.  It reduces the Q(z) coefficients
+a_j with ``modp.reduce_ratfn_mod_p`` rather than the cleared integers the
+engine runs on: that helper stays in src because ``bench/spans.py`` counts
+its calls and ``tests/test_bench_spans.py`` requires its name, and this
+test is its one caller.
+
 Matrices over F_p[z] are ``FpMat`` [row][col] coefficient lists, the
 layout the engine returns; their products go through Kronecker
 substitution on Python integers.  numpy is loaded only once a process has
@@ -24,10 +32,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional, Sequence
 
-from .diffop import DiffOp, RatMat, companion, monic_theta_coefficients
+from .diffop import DiffOp, RatMat, companion
 from .errors import BadPrime, IrregularPoint
+from .exact_arith import falling_factorial_poly
 from .growth import cleared_system
-from .modp import ClearedSequenceMod, FpMat, reduce_ratfn_mod_p
+from .local_analysis import _frobenius
+from .modp import ClearedSequenceMod, FpMat, reduce_poly_mod_p, reduce_ratfn_mod_p
 
 
 def _good_cleared_system(g: RatMat, p: int):
@@ -102,16 +112,21 @@ def katz_honda_check(l: DiffOp, p: int) -> bool:
     """True iff the mod-p indicial polynomial at 0 splits over F_p.
 
     Necessary for nilpotence when 0 is regular singular for the reduction;
-    raises IrregularPoint when the reduced theta coefficients have a pole."""
-    reduced = [reduce_ratfn_mod_p(c, p) for c in monic_theta_coefficients(l)]
-    n = len(reduced)
-    orders = [(_order_at_zero(num), _order_at_zero(den)) for num, den in reduced]
-    if any(num < den for num, den in orders):
+    raises IrregularPoint when it is not, BadPrime when a coefficient of the
+    monic D form does not reduce mod p."""
+    g = companion(l)
+    reduced = [reduce_ratfn_mod_p(-c, p) for c in g.entries[-1]] + [([1], [1])]
+    ords = [_order_at_zero(num) - _order_at_zero(den) if num else None for num, den in reduced]
+    regular, _, leading = _frobenius(ords, -1)
+    if not regular:
         raise IrregularPoint("0 is not regular singular for the reduction")
-    phi = [0] * n + [1]
-    for j, ((num, den), (_, k)) in enumerate(zip(reduced, orders), start=1):
-        if k < len(num):  # the value at 0 is 0 when num vanishes to higher order
-            phi[n - j] = num[k] * pow(den[k], -1, p) % p
+    phi = [0] * (g.n + 1)
+    for j in leading:
+        # the j-th term of L z^y at z^y is (a_j / z^(ord a_j))(0) y(y-1)...(y-j+1)
+        num, den = reduced[j]
+        c = num[_order_at_zero(num)] * pow(den[_order_at_zero(den)], -1, p)
+        for d, f in enumerate(reduce_poly_mod_p(falling_factorial_poly(j), p)):
+            phi[d] = (phi[d] + c * f) % p
     for a in range(p):
         while len(phi) > 1:
             quo, rem = _divide_root(phi, a, p)

@@ -15,17 +15,27 @@ from gop.diffop import (
     change_basis,
     companion,
     is_infinity,
-    monic_theta_coefficients,
     op_add,
     op_mul,
     op_sub,
 )
-from gop.errors import InsufficientTruncation
-from gop.exact_arith import GAUSS_INF, Poly, RatFn, as_fraction, gauss_valuation, primes_upto, vp_fraction, vp_int
+from gop.errors import InsufficientTruncation, IrregularPoint
+from gop.exact_arith import (
+    GAUSS_INF,
+    Poly,
+    RatFn,
+    as_fraction,
+    falling_factorial_poly,
+    gauss_valuation,
+    primes_upto,
+    vp_fraction,
+    vp_int,
+)
 from gop.growth import ExactLog, cleared_system
 from gop.local_analysis import regular_series_solutions
 from gop import modp
 from gop.modp import reduce_ratfn_mod_p
+from gop.p_curvature import _divide_root, _order_at_zero
 
 # ---------------------------------------------------------------------------
 # the systems the invariants are checked on
@@ -123,6 +133,35 @@ def naive_tower(ps, g: RatMat, t, h_max: int) -> list[list[RatFn]]:
 
 
 # ---------------------------------------------------------------------------
+# the theta form
+
+
+def theta_form(l: DiffOp) -> DiffOp:
+    """The monic theta-basis form of L, from D^j = z^(-j) x(x-1)...(x-j+1)
+    evaluated at theta; monic is a left Q(z)-unit, which preserves solutions
+    and exponents."""
+    if l.is_zero() or l.basis is Basis.THETA:
+        return l.monic()
+    out = [RatFn.ZERO] * (l.order + 1)
+    for j, c in enumerate(l.coeffs):
+        if c.is_zero():
+            continue
+        ff = falling_factorial_poly(j)
+        zj = RatFn(Poly.ONE, Poly.x(j))
+        for k in range(ff.degree + 1):
+            if ff[k]:
+                out[k] += c * zj * ff[k]
+    return DiffOp(Basis.THETA, out).monic()
+
+
+def monic_theta_coefficients(l: DiffOp) -> list[RatFn]:
+    """[A_1, ..., A_n] for the monic theta form theta^n + sum A_j theta^(n-j)."""
+    lt = theta_form(l)
+    n = lt.order
+    return [lt.coeff(n - j) for j in range(1, n + 1)]
+
+
+# ---------------------------------------------------------------------------
 # reduction mod p
 
 
@@ -155,7 +194,7 @@ def naive_division_vanishes(l: DiffOp, p: int) -> bool:
     """True iff the remainder of D^(p*ord L) on right division by L in Q(z)
     vanishes mod p.  BadPrime when a coefficient of the monic D-basis form of
     L does not reduce mod p."""
-    ld = change_basis(l, Basis.D).monic()
+    ld = change_basis(l).monic()
     for c in ld.coeffs:
         reduce_ratfn_mod_p(c, p)
     d = DiffOp(Basis.D, [0, 1])
@@ -163,6 +202,29 @@ def naive_division_vanishes(l: DiffOp, p: int) -> bool:
     for _ in range(p * ld.order):
         r = op_div_right(op_mul(d, r), ld)[1]
     return all(not reduce_ratfn_mod_p(c, p)[0] for c in r.coeffs)
+
+
+def theta_katz_honda_check(l: DiffOp, p: int) -> bool:
+    """Katz's indicial test by the theta route: True iff the indicial
+    polynomial y^n + sum A_j(0) y^(n-j) of the monic theta form, reduced mod
+    p, splits over F_p.  IrregularPoint when a reduced A_j has a pole at 0,
+    BadPrime when an A_j does not reduce."""
+    reduced = [reduce_ratfn_mod_p(c, p) for c in monic_theta_coefficients(l)]
+    n = len(reduced)
+    orders = [(_order_at_zero(num), _order_at_zero(den)) for num, den in reduced]
+    if any(num < den for num, den in orders):
+        raise IrregularPoint("0 is not regular singular for the reduction")
+    phi = [0] * n + [1]
+    for j, ((num, den), (_, k)) in enumerate(zip(reduced, orders), start=1):
+        if k < len(num):  # the value at 0 is 0 when num vanishes to higher order
+            phi[n - j] = num[k] * pow(den[k], -1, p) % p
+    for a in range(p):
+        while len(phi) > 1:
+            quo, rem = _divide_root(phi, a, p)
+            if rem:
+                break
+            phi = quo
+    return len(phi) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +334,7 @@ def translate_to_point(l: DiffOp, point) -> DiffOp:
     if l.is_zero():
         return l
     if is_infinity(point):
-        lt = change_basis(l, Basis.THETA)
+        lt = theta_form(l)
         out = []
         for k, c in enumerate(lt.coeffs):
             ck = c.invert_argument()
@@ -281,7 +343,7 @@ def translate_to_point(l: DiffOp, point) -> DiffOp:
     a = as_fraction(point)
     if a == 0:
         return l
-    ld = change_basis(l, Basis.D)
+    ld = change_basis(l)
     return DiffOp(Basis.D, [c.shift_argument(a) for c in ld.coeffs])
 
 
@@ -295,7 +357,7 @@ def theta_indicial_data(l: DiffOp, point):
     coeffs = monic_theta_coefficients(translate_to_point(l, point))
     n = len(coeffs)
     regular = all(c.is_zero() or c.order_at_zero() >= 0 for c in coeffs)
-    ld = change_basis(l, Basis.D)
+    ld = change_basis(l)
     profile = []
     for j in range(1, n + 1):
         ratio = ld.coeff(n - j)

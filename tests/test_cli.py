@@ -28,7 +28,7 @@ from gop.cli import (
 )
 from gop.diffop import Basis, DiffOp
 from gop.errors import MixedBasisError, ParseError
-from gop.exact_arith import is_prime
+from gop.exact_arith import Poly, RatFn, is_prime
 from gop.local_analysis import APPARENT_ORDER_MAX
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -83,10 +83,31 @@ def test_parse_errors_carry_position():
         parse_operator("D D")
     with pytest.raises(ParseError):
         parse_operator("(D")
-    with pytest.raises(ParseError):
-        parse_operator("D/z")
     with pytest.raises(MixedBasisError):
         parse_operator("D + theta")
+
+
+def test_parse_division_errors():
+    # "/" needs operands of order <= 0; D - D is the zero operator
+    for text, message, column in [("D/z", "division needs scalar operands", 1),
+                                  ("(D)/2", "division needs scalar operands", 3),
+                                  ("2/(D-D)", "division by zero", 1)]:
+        with pytest.raises(ParseError, match=message) as err:
+            parse_operator(text)
+        assert err.value.column == column, text
+
+
+def test_parse_against_coefficients():
+    z_third = RatFn(Poly([Fraction(-1, 3), 1]))
+    cases = {
+        "-z*D": DiffOp(Basis.D, [0, -RatFn.Z]),
+        "z^0*D": DiffOp(Basis.D, [0, 1]),
+        "2^3/4*D": DiffOp(Basis.D, [0, 2]),
+        "theta^0": DiffOp(Basis.THETA, [1]),
+        "(z-1/3)^40*D^2+1": DiffOp(Basis.D, [1, 0, z_third**40]),
+    }
+    for text, want in cases.items():
+        assert parse_operator(text) == want, text
 
 
 def test_roundtrip_catalog_operators():
@@ -250,6 +271,9 @@ def test_growth_sizes_validated_at_boundary():
         ["radius", "--catalog", "polylog:2", "--prime", "3", "--smax", "2"],
         ["pade", "--catalog", "polylog:2", "--N", "-1", "--M", "2"],
         ["pade", "--catalog", "polylog:2", "--N", "4", "--M", "-2"],
+        ["bombieri", "--catalog", "polylog:2", "--s", "4", "--prime-bound", "5", "--slack", "nan"],
+        ["bombieri", "--catalog", "polylog:2", "--s", "4", "--prime-bound", "5", "--slack", "inf"],
+        ["bombieri", "--catalog", "polylog:2", "--s", "4", "--prime-bound", "5", "--slack=-inf"],
     ])
 
 

@@ -37,6 +37,7 @@ from oracles import (
     gauss_rule_is_bad,
     naive_division_vanishes,
     naive_gs_sequence,
+    theta_katz_honda_check,
 )
 
 
@@ -218,6 +219,28 @@ def test_katz_honda_necessary_condition():
                     assert katz_honda_check(op, p)
                 except IrregularPoint:
                     pass
+
+
+def _katz_outcome(check, l, p):
+    try:
+        return check(l, p)
+    except (BadPrime, IrregularPoint) as exc:
+        return type(exc).__name__
+
+
+def test_katz_honda_matches_theta_route():
+    # the Frobenius rule on the reduced D form against the reduced monic theta
+    # form, including which of BadPrime and IrregularPoint is raised
+    rng = random.Random(3)
+    ops = [entry.operator for entry in CATALOG.values()]
+    ops += [drawn_operator(rng, (Basis.D, Basis.THETA)[k % 2]) for k in range(60)]
+    seen = set()
+    for l in ops:
+        for p in primes_upto(60):
+            want = _katz_outcome(theta_katz_honda_check, l, p)
+            assert _katz_outcome(katz_honda_check, l, p) == want, (l, p)
+            seen.add(want)
+    assert seen == {True, False, "BadPrime", "IrregularPoint"}
 
 
 def _schoolbook_product(a, b, p):
