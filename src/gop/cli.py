@@ -340,7 +340,9 @@ def _parse_point(text: str):
 # pcurv runs p recurrence steps mod p and p·n more for the division test, each
 # O(p): polylog:3 at p = 1999 took 13.2 s
 PCURV_PRIME_MAX = 2000
-# scan does that for every prime in its range: gauss2f1 over 2..1000 took 24.5 s
+# scan does that once for all the primes in its range, on one run modulo their
+# product, steps of O(s) operations on integers of up to that product's size:
+# gauss2f1 over 2..1000 took 5.7-6.1 s
 SCAN_PRIME_MAX = 1000
 # galochkin and radius run smax integer steps and keep every H_s: galochkin on
 # gauss2f1 at smax 500 took 7.2 s and 254 MB peak RSS

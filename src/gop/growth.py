@@ -99,12 +99,14 @@ def _step(h, s: int, t, tg, m: int | None = None):
                     if x:
                         acc[i : i + width] = [u + x * y for u, y in zip(acc[i : i + width], a)]
             # T H_s' - s T' H_s = sum over i, k of t_i (k - s i) h_k z^(i+k-1),
-            # one pass per nonzero t_i (for i = 0 the k = 0 term vanishes)
+            # one pass per nonzero t_i (for i = 0 the k = 0 term vanishes),
+            # the factors t_i (k - s i) stepping by t_i
             for i, x in enumerate(t):
                 if x and hj:
                     lo, first, si = max(i - 1, 0), int(i == 0), s * i
                     hi = lo + len(hj) - first
-                    acc[lo:hi] = [u + x * (k - si) * y for u, k, y in zip(acc[lo:hi], range(first, len(hj)), hj[first:])]
+                    factors = range(x * (first - si), x * (len(hj) - si), x)
+                    acc[lo:hi] = [u + c * y for u, c, y in zip(acc[lo:hi], factors, hj[first:])]
             if m is not None:
                 acc = [c % m for c in acc]
             while acc and acc[-1] == 0:

@@ -15,11 +15,22 @@ does a whole polynomial product.
 ``ClearedSequenceMod`` has two storages behind the one step.  It runs
 ``growth._step`` with a modulus on the lists until the process has done
 ``LIST_WORK_BUDGET`` coefficient-steps of list work, about the cost of one
-numpy import; from then on that sequence and every later one step numpy
-blocks of shape (degree+1, rows, n), where ``block[e]`` is the matrix of z^e
-coefficients.  A block is int64 while every sum a step forms stays below
-2^63, and of dtype ``object`` (Python ints, exact for any modulus)
-otherwise.  Short scans never import numpy, and long ones pay for it once.
+numpy import; from then on that sequence and every later one step int64
+numpy blocks of shape (degree+1, rows, n), where ``block[e]`` is the matrix
+of z^e coefficients.  Blocks are only for a modulus at which every sum a
+step forms stays below 2^63 (the int64 rule); a sequence built at a larger
+modulus steps lists whatever the budget, since Python integers are exact at
+any size and numpy blocks of them were several times slower than lists.
+Short scans never import numpy, and long single primes pay for it once.
+
+A sequence modulo M may switch to a divisor d of M (``reduce_modulus``):
+reduction Z/M -> Z/d is a ring homomorphism and the step is a polynomial
+map with integer coefficients, so reducing H_s mod M to Z/d gives H_s mod d
+at every later s exactly as a run modulo d from the start would.  A scan
+over many primes runs one sequence modulo their product and reads each
+prime off it.  T and TG are held as signed residues, |c| <= M/2, which are
+the small integer coefficients themselves once M is large; only the rows
+carry coefficients as large as M.
 
 The reduction map follows the Gauss-valuation convention: a rational function
 reduces mod p iff its Gauss valuation is >= 0, after normalizing the
@@ -150,9 +161,11 @@ def _numpy():
     return numpy
 
 
-def _dtype(terms: int, m: int):
-    """int64 when a sum of ``terms`` products of residues mod m fits."""
-    return object if terms * (m - 1) ** 2 >= _INT64_BOUND else "int64"
+def _signed(coeffs: Sequence[int], m: int) -> list[int]:
+    """Coefficients as residues mod m in [-(m // 2), m - m // 2), trailing
+    zeros trimmed."""
+    half = m // 2
+    return _trim_list([(c + half) % m - half for c in coeffs])
 
 
 def _trim(block):
@@ -163,10 +176,10 @@ def _trim(block):
     return block[: nonzero[-1] + 1] if nonzero.size else block[:0]
 
 
-def _block(entries: Sequence[Sequence[Sequence[int]]], dtype):
-    """Block of a matrix given as [row][col] lists of residues."""
+def _block(entries: Sequence[Sequence[Sequence[int]]]):
+    """int64 block of a matrix given as [row][col] lists of residues."""
     degrees = max((len(c) for row in entries for c in row), default=0)
-    out = _numpy().zeros((degrees, len(entries), len(entries[0])), dtype=dtype)
+    out = _numpy().zeros((degrees, len(entries), len(entries[0])), dtype="int64")
     for i, row in enumerate(entries):
         for j, c in enumerate(row):
             out[: len(c), i, j] = c
@@ -214,9 +227,10 @@ class ClearedSequenceMod:
     are integer coefficient lists.  ``start`` is the block of rows at index
     ``s``; by default the whole of H_1 = TG.  ``goto(s)`` returns the rows at
     index s as [row][col] coefficient lists in [0, m).  Any modulus m >= 2 is
-    exact: the numpy block is int64 only while an output coefficient, a sum
-    of n·len(TG) + len(T) + len(T') products of residues, stays below 2^63,
-    and of dtype ``object`` otherwise.
+    exact.  The sequence steps numpy blocks only if m passes the int64 rule:
+    an output coefficient, a sum of n·len(TG) + len(T) + len(T') products of
+    residues, stays below 2^63.  ``reduce_modulus(d)`` continues the run
+    modulo a divisor d of m, on the storage it has.
     """
 
     def __init__(
@@ -229,18 +243,37 @@ class ClearedSequenceMod:
     ):
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
-        self.m = m
-        self.t = _reduce(t_coeffs, m)
-        self.dt = _reduce([i * c for i, c in enumerate(t_coeffs)][1:], m)
-        self.tg = [[_reduce(c, m) for c in row] for row in tg]
+        self._t_int, self._tg_int = t_coeffs, tg
+        self._set_modulus(m)
         self.s = s
         self.rows = [[_reduce(c, m) for c in row] for row in (tg if start is None else start)]
         self.block = self.tg_block = None  # numpy storage, once over budget
+        # a divisor of m passes the rule too: residues and lengths only shrink
+        tg_len = max((len(c) for row in self.tg for c in row), default=0)
+        self.int64 = (len(self.tg) * tg_len + len(self.t) + len(self.dt)) * (m - 1) ** 2 < _INT64_BOUND
+
+    def _set_modulus(self, m: int):
+        self.m = m
+        self.t = _signed(self._t_int, m)
+        self.dt = _signed([i * c for i, c in enumerate(self._t_int)][1:], m)
+        self.tg = [[_signed(c, m) for c in row] for row in self._tg_int]
+
+    def reduce_modulus(self, d: int):
+        """Continue modulo d, a divisor of the modulus: the rows at the
+        current index are reduced mod d, and every later step runs mod d."""
+        if d < 2 or self.m % d:
+            raise ValueError(f"{d} is not a divisor >= 2 of the modulus {self.m}")
+        self._set_modulus(d)
+        if self.block is None:
+            self.rows = [[_reduce(c, d) for c in row] for row in self.rows]
+        else:
+            self.block = _trim(self.block % d)
+            self.tg_block = _block(self.tg)
 
     def advance(self):
         """Step from H_s to H_{s+1}."""
         global _list_work
-        if self.block is None and _list_work < LIST_WORK_BUDGET:
+        if self.block is None and (_list_work < LIST_WORK_BUDGET or not self.int64):
             _list_work += sum(len(c) for row in self.rows for c in row)
             self.rows = growth._step(self.rows, self.s, self.t, self.tg, self.m)
         else:
@@ -251,10 +284,8 @@ class ClearedSequenceMod:
         np = _numpy()
         m = self.m
         if self.block is None:
-            tg_len = max((len(c) for row in self.tg for c in row), default=0)
-            dtype = _dtype(len(self.tg) * tg_len + len(self.t) + len(self.dt), m)
-            self.tg_block = _block(self.tg, dtype)
-            self.block = _block(self.rows, dtype)
+            self.tg_block = _block(self.tg)
+            self.block = _block(self.rows)
             self.rows = None
         h = self.block
         d = len(h)

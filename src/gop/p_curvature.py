@@ -12,6 +12,17 @@ operator: the matrix power test (H_p)^n = 0, and right division of D^(pn) by
 L mod p, run as the row e_0 of the same recurrence.  The scan records whether
 the two agree when an operator is available.
 
+A scan reads every good prime off one run per route instead of one run per
+prime.  The run starts modulo M, the product of the good primes; at index p
+(p·n for the division test) it reduces its rows mod p, then continues
+modulo M/p, the product of the primes not yet reached.  Reduction
+Z/M -> Z/p is a ring homomorphism for p | M and the step is a polynomial
+map with integer coefficients, so H_p mod p read this way is exactly the
+run modulo p alone, and a scan over the primes up to P does about P steps
+(P·n for the division test) rather than the sum of all its primes.  ``prime_report`` is the one-prime
+case.  ``p_curvature`` and ``operator_nilpotence_by_division`` run one
+prime on its own modulus; the tests check the scan against them.
+
 Katz's indicial test (katz_honda_check) reads local_analysis's Frobenius
 rule at 0 off the monic D form, a_n = 1, reduced mod p, and asks whether
 the indicial polynomial splits over F_p.  It reduces the Q(z) coefficients
@@ -23,8 +34,10 @@ test is its one caller.
 Matrices over F_p[z] are ``FpMat`` [row][col] coefficient lists, the
 layout the engine returns; their products go through Kronecker
 substitution on Python integers.  numpy is loaded only once a process has
-done about one numpy import's worth of list steps in the engine (see
-``modp``), so short scans and single small primes never load it.
+done about one numpy import's worth of list steps in the engine, and only
+for a modulus at which int64 sums hold (see ``modp``): a scan over more
+than a few primes runs on lists, and short scans and single small primes
+never load it.
 """
 
 from __future__ import annotations
@@ -37,18 +50,27 @@ from .errors import BadPrime, IrregularPoint
 from .exact_arith import falling_factorial_poly
 from .growth import cleared_system
 from .local_analysis import _frobenius
-from .modp import ClearedSequenceMod, FpMat, reduce_poly_mod_p, reduce_ratfn_mod_p
+from .modp import ClearedSequenceMod, FpMat, _reduce, reduce_poly_mod_p, reduce_ratfn_mod_p
 
 
-def _good_cleared_system(g: RatMat, p: int):
-    """cleared_system(g), or BadPrime when G does not reduce mod p."""
+def _is_bad(sys, p: int) -> bool:
+    """True iff G does not reduce mod p, for sys = cleared_system(G)."""
     # T = d*T0 with T0 monic.  For p not dividing d, v_p(T) = 0; for p | d,
     # the minimality of d gives min(v_p(T), v_p(TG)) = 0.  By Gauss's lemma
     # some entry TG_ij / T of G has negative Gauss valuation exactly when
     # p divides every coefficient of T.
+    return all(c % p == 0 for c in sys.t)
+
+
+def _bad_prime(p: int) -> BadPrime:
+    return BadPrime(p, "entry with negative Gauss valuation")
+
+
+def _good_cleared_system(g: RatMat, p: int):
+    """cleared_system(g), or BadPrime when G does not reduce mod p."""
     sys = cleared_system(g)
-    if all(c % p == 0 for c in sys.t):
-        raise BadPrime(p, "entry with negative Gauss valuation")
+    if _is_bad(sys, p):
+        raise _bad_prime(p)
     return sys
 
 
@@ -139,9 +161,9 @@ def katz_honda_check(l: DiffOp, p: int) -> bool:
 def relation_gp_power_holds(g: RatMat, p: int, k_max: int) -> bool:
     """G_{pk} mod p == (G_p mod p)^k for k <= k_max, compared through the
     cleared polynomial forms (H_{pk} == H_p^k since both carry T^(pk))."""
-    sys = _good_cleared_system(g, p)
-    seq = ClearedSequenceMod(sys.t, sys.tg, p)
-    hp = FpMat(p, seq.goto(p))
+    hp = p_curvature(g, p)
+    sys = cleared_system(g)
+    seq = ClearedSequenceMod(sys.t, sys.tg, p, start=hp.entries, s=p)
     power = hp
     for k in range(2, k_max + 1):
         power = power * hp
@@ -169,24 +191,58 @@ class GlobalScan(NamedTuple):
     verdict: str  # "AllGoodNilpotent" | "FoundNonNilpotent" | "Mixed" | "NoGoodPrime"
 
 
+def _rows_at_primes(sys, primes: Sequence[int], start=None, s: int = 1, stride: int = 1):
+    """(p, the rows at index stride·p mod p) for each of the distinct
+    ascending primes, read off one run of the cleared sequence: it starts
+    modulo the product of the primes, and after each prime it continues
+    modulo the product of the primes it has not reached."""
+    m = math.prod(primes)
+    seq = ClearedSequenceMod(sys.t, sys.tg, m, start=start, s=s)
+    for p in primes:
+        rows = seq.goto(stride * p)
+        yield p, [[_reduce(c, p) for c in row] for row in rows]
+        m //= p
+        if m > 1:
+            seq.reduce_modulus(m)
+
+
+def _reports(g: RatMat, primes: Sequence[int], operator: Optional[DiffOp]) -> list[PCurvatureReport]:
+    """A report for each entry of the ascending primes, the division test's
+    agreement included when the operator L (G = companion(L)) is given.
+
+    The p-curvature at every good prime comes off one run modulo their
+    product, and the division test off one run of the row e_0 from index 0,
+    read at p·n; each equals the run modulo p alone, since reduction
+    Z/M -> Z/p commutes with the step."""
+    sys = cleared_system(g)
+    good = sorted({p for p in primes if not _is_bad(sys, p)})
+    nilpotence, agreement = {}, {}
+    if good:
+        for p, rows in _rows_at_primes(sys, good):
+            nilpotence[p] = is_nilpotent(FpMat(p, rows))
+        if operator is not None:
+            start = [[[1]] + [[] for _ in range(g.n - 1)]]
+            for p, rows in _rows_at_primes(sys, good, start, 0, g.n):
+                divides = not any(c for row in rows for c in row)
+                agreement[p] = divides == nilpotence[p][0]
+    reports = []
+    for p in primes:
+        if p in nilpotence:
+            nil, index = nilpotence[p]
+            reports.append(PCurvatureReport(p, "Nilpotent" if nil else "NonNilpotent", index, agreement.get(p, True)))
+        else:
+            reports.append(PCurvatureReport(p, "BadPrime", None, True, str(_bad_prime(p))))
+    return reports
+
+
 def prime_report(g: RatMat, p: int, operator: Optional[DiffOp] = None) -> PCurvatureReport:
     """Nilpotence verdict and index of the p-curvature of G at the prime p,
     with the division test's agreement when the operator L (G =
     companion(L)) is given.  BadPrime when G does not reduce mod p."""
-    nil, index = is_nilpotent(p_curvature(g, p))
-    agreement = True
-    if operator is not None:
-        agreement = operator_nilpotence_by_division(operator, p) == nil
-    return PCurvatureReport(
-        p, "Nilpotent" if nil else "NonNilpotent", index, agreement
-    )
-
-
-def _scan_report(g: RatMat, p: int, operator: Optional[DiffOp]) -> PCurvatureReport:
-    try:
-        return prime_report(g, p, operator)
-    except BadPrime as exc:
-        return PCurvatureReport(p, "BadPrime", None, True, str(exc))
+    report = _reports(g, (p,), operator)[0]
+    if report.status == "BadPrime":
+        raise _bad_prime(p)
+    return report
 
 
 def global_scan(subject, primes: Sequence[int], subject_id: str = "") -> GlobalScan:
@@ -200,7 +256,7 @@ def global_scan(subject, primes: Sequence[int], subject_id: str = "") -> GlobalS
     else:
         operator, g = None, subject
     primes = tuple(sorted(primes))
-    reports = [_scan_report(g, p, operator) for p in primes]
+    reports = _reports(g, primes, operator)
     good = [r for r in reports if r.status != "BadPrime"]
     if not good:
         verdict = "NoGoodPrime"

@@ -19,7 +19,7 @@ from gop.diffop import (
     op_mul,
     op_sub,
 )
-from gop.errors import InsufficientTruncation, IrregularPoint
+from gop.errors import BadPrime, InsufficientTruncation, IrregularPoint
 from gop.exact_arith import (
     GAUSS_INF,
     Poly,
@@ -35,7 +35,13 @@ from gop.growth import ExactLog, cleared_system
 from gop.local_analysis import regular_series_solutions
 from gop import modp
 from gop.modp import reduce_ratfn_mod_p
-from gop.p_curvature import _divide_root, _order_at_zero
+from gop.p_curvature import (
+    _divide_root,
+    _order_at_zero,
+    is_nilpotent,
+    operator_nilpotence_by_division,
+    p_curvature,
+)
 
 # ---------------------------------------------------------------------------
 # the systems the invariants are checked on
@@ -88,6 +94,24 @@ def force_storage(monkeypatch, budget):
     (budget 0) or [row][col] lists throughout (an unbounded budget)."""
     monkeypatch.setattr(modp, "LIST_WORK_BUDGET", budget)
     monkeypatch.setattr(modp, "_list_work", 0)
+
+
+def per_prime_scan(subject, primes):
+    """(prime, status, nilpotence index, method agreement, detail) at each
+    of the sorted primes, repeats included, each prime run on its own
+    modulus: p_curvature, and operator_nilpotence_by_division when the
+    subject is an operator."""
+    operator, g = (subject, companion(subject)) if isinstance(subject, DiffOp) else (None, subject)
+    rows = []
+    for p in sorted(primes):
+        try:
+            nil, index = is_nilpotent(p_curvature(g, p))
+            agreement = operator is None or operator_nilpotence_by_division(operator, p) == nil
+        except BadPrime as exc:
+            rows.append((p, "BadPrime", None, True, str(exc)))
+        else:
+            rows.append((p, "Nilpotent" if nil else "NonNilpotent", index, agreement, ""))
+    return rows
 
 
 # ---------------------------------------------------------------------------

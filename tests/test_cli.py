@@ -367,14 +367,15 @@ def test_cli_import_leaves_out_dataclasses():
 
 def test_numpy_loaded_only_by_the_mod_p_engine():
     # the mod-p engine steps lists until the process has done about one numpy
-    # import's worth of list work, and numpy blocks from then on
+    # import's worth of list work, and numpy blocks from then on; a single
+    # prime runs modulo that prime, where int64 blocks hold
     script = (
         "import contextlib, io, sys\n"
         "import gop.cli\n"
         "print('numpy' in sys.modules)\n"
         "for argv in (['bombieri', '--catalog', 'polylog:2', '--s', '20', '--prime-bound', '20'],\n"
         "             ['scan', '--catalog', 'polylog:2', '--primes', '2..5'],\n"
-        "             ['scan', '--catalog', 'gauss2f1', '--primes', '2..200']):\n"
+        "             ['pcurv', '--catalog', 'polylog:3', '--prime', '101']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert gop.cli.main(argv) == 0\n"
         "    print('numpy' in sys.modules)\n"

@@ -1,5 +1,6 @@
 """Reduction mod p, p-curvature, nilpotence tests, scans."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from gop.p_curvature import (
     katz_honda_check,
     operator_nilpotence_by_division,
     p_curvature,
+    prime_report,
     relation_gp_power_holds,
 )
 from oracles import (
@@ -37,6 +39,7 @@ from oracles import (
     gauss_rule_is_bad,
     naive_division_vanishes,
     naive_gs_sequence,
+    per_prime_scan,
     theta_katz_honda_check,
 )
 
@@ -290,15 +293,77 @@ def _scan_rows(subject, primes):
             for r in global_scan(subject, primes).reports]
 
 
-def test_scan_same_on_both_storages(monkeypatch):
-    # forced lists cost several times numpy at large p (191 s against 35 s
-    # for this set at every prime <= 300), so the range stops at 70
+def test_scan_matches_per_prime_runs(monkeypatch):
+    # the scan reads every prime off one run modulo the product of the good
+    # primes; the per-prime side runs each prime on its own modulus, on both
+    # storages.  Forced lists cost several times numpy at large p (191 s
+    # against 35 s at every prime <= 300), so the range stops at 70
     rng = random.Random(91)
     subjects = [e.operator if e.system is None else e.system for e in CATALOG.values()]
     subjects += [drawn_operator(rng, (Basis.D, Basis.THETA)[k % 2]) for k in range(16)]
     primes = primes_upto(70)
     for subject in subjects:
-        force_storage(monkeypatch, math.inf)
-        on_lists = _scan_rows(subject, primes)
-        force_storage(monkeypatch, 0)
-        assert _scan_rows(subject, primes) == on_lists, subject
+        scanned = _scan_rows(subject, primes)
+        for budget in (math.inf, 0):
+            force_storage(monkeypatch, budget)
+            assert per_prime_scan(subject, primes) == scanned, (subject, budget)
+
+
+def test_scan_edge_cases(monkeypatch):
+    li2, six = polylog_operator(2), parse_operator("6*D - 1")  # 6 D - 1 is bad at 2 and 3
+    for subject, primes in [(li2, [7]), (li2, [13, 3, 13, 2, 7, 3]), (six, [5]), (six, [7, 3, 5, 2, 7])]:
+        for budget in (math.inf, 0):
+            force_storage(monkeypatch, budget)
+            scan = global_scan(subject, primes)
+            assert scan.primes == tuple(sorted(primes))
+            assert _scan_rows(subject, primes) == per_prime_scan(subject, primes), (subject, primes)
+
+    def no_sequence(*args, **kwargs):
+        raise AssertionError("a scan without a good prime built a sequence")
+
+    monkeypatch.setattr(importlib.import_module("gop.p_curvature"), "ClearedSequenceMod", no_sequence)
+    for primes in ([], [3], [3, 2, 3]):
+        scan = global_scan(six, primes)
+        assert scan.verdict == "NoGoodPrime" and scan.primes == tuple(sorted(primes))
+        assert [r.status for r in scan.reports] == ["BadPrime"] * len(primes)
+        assert _scan_rows(six, primes) == per_prime_scan(six, primes)
+    with pytest.raises(BadPrime):
+        prime_report(companion(six), 3, six)
+
+
+def _mod(rows, p):
+    out = [[[c % p for c in poly] for poly in row] for row in rows]
+    for row in out:
+        for poly in row:
+            while poly and poly[-1] == 0:
+                poly.pop()
+    return out
+
+
+def test_modulus_switch_matches_runs_mod_each_prime(monkeypatch):
+    # H_s mod M reduced mod p equals the run mod p for every p | M and s <= 30,
+    # across a switch to M/q at s = 15 for each q | M
+    rng = random.Random(12)
+    systems = [g for _, g in every_catalog_system()]
+    systems += [companion(drawn_operator(rng, (Basis.D, Basis.THETA)[k % 2])) for k in range(4)]
+    for moduli, budget in ((primes_upto(7)[1:], math.inf), (primes_upto(7)[1:], 0), (primes_upto(70), math.inf)):
+        m = math.prod(moduli)
+        for g in systems:
+            sys = cleared_system(g)
+            force_storage(monkeypatch, math.inf)
+            want = {}
+            for p in moduli:
+                seq = ClearedSequenceMod(sys.t, sys.tg, p)
+                want[p] = [seq.goto(s) for s in range(1, 31)]
+            for q in moduli:
+                force_storage(monkeypatch, budget)
+                seq = ClearedSequenceMod(sys.t, sys.tg, m)
+                for s in range(1, 31):
+                    rows = seq.goto(s)
+                    for p in moduli:
+                        if s <= 15 or p != q:
+                            assert _mod(rows, p) == want[p][s - 1], (g, m, q, p, s)
+                    if s == 15:
+                        seq.reduce_modulus(m // q)
+                        assert seq.goto(15) == _mod(rows, m // q), (g, m, q)
+                assert (seq.block is None) == (budget == math.inf), (g, m)

@@ -16,6 +16,7 @@ PAPER_IDENTITIES = {
     "verify_similileibniz": "the Leibniz rearrangement of the derived Pade tower",
     "katz_honda_check": "Katz's indicial test: nilpotence forces a split indicial polynomial mod p",
     "nilpotence_valuation_bound": "v(G_{pns}) >= s for a system nilpotent mod p",
+    "operator_nilpotence_by_division": "L right-divides D^(pn) mod p iff the p-curvature of L is nilpotent",
 }
 
 
