@@ -316,7 +316,7 @@ def test_scan_edge_cases(monkeypatch):
             force_storage(monkeypatch, budget)
             scan = global_scan(subject, primes)
             assert scan.primes == tuple(sorted(primes))
-            assert _scan_rows(subject, primes) == per_prime_scan(subject, primes), (subject, primes)
+            assert list(scan.reports) == per_prime_scan(subject, primes), (subject, primes)
 
     def no_sequence(*args, **kwargs):
         raise AssertionError("a scan without a good prime built a sequence")
@@ -326,7 +326,7 @@ def test_scan_edge_cases(monkeypatch):
         scan = global_scan(six, primes)
         assert scan.verdict == "NoGoodPrime" and scan.primes == tuple(sorted(primes))
         assert [r.status for r in scan.reports] == ["BadPrime"] * len(primes)
-        assert _scan_rows(six, primes) == per_prime_scan(six, primes)
+        assert list(scan.reports) == per_prime_scan(six, primes)
     with pytest.raises(BadPrime):
         prime_report(companion(six), 3, six)
 
