@@ -40,6 +40,8 @@ GOLDEN_CASES = {
     "pcurv_polylog2_p5": ["pcurv", "--catalog", "polylog:2", "--prime", "5"],
     "scan_dm1": ["scan", "--catalog", "d-minus-1", "--primes", "2..20"],
     "scan_polylog2": ["scan", "--catalog", "polylog:2", "--primes", "2..20"],
+    "scan_gauss2f1": ["scan", "--catalog", "gauss2f1", "--primes", "2..60"],
+    "scan_theta2m2": ["scan", "--catalog", "theta2m2", "--primes", "2..40"],
     "galochkin_polylog1": ["galochkin", "--catalog", "polylog:1", "--smax", "12"],
     "size_polylog1": ["size", "--catalog", "polylog:1", "--s", "12", "--prime-bound", "13"],
     "radius_polylog1": ["radius", "--catalog", "polylog:1", "--prime", "2", "--smax", "16"],
