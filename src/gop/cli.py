@@ -337,12 +337,12 @@ def _parse_point(text: str):
 # one command on a 2-core x86-64 machine; higher polylog weights and larger
 # operators cost more at the same bound.
 
-# pcurv runs p recurrence steps mod p and p·n more for the division test, each
-# O(p): polylog:3 at p = 1999 took 13.2 s
+# pcurv runs p·n steps of one row mod p, the step at index s O(s): polylog:3
+# at p = 1999 took 9.1-9.2 s
 PCURV_PRIME_MAX = 2000
 # scan does that once for all the primes in its range, on one run modulo their
 # product, steps of O(s) operations on integers of up to that product's size:
-# gauss2f1 over 2..1000 took 5.7-6.1 s
+# gauss2f1 over 2..1000 took 4.1 s
 SCAN_PRIME_MAX = 1000
 # galochkin and radius run smax integer steps and keep every H_s: galochkin on
 # gauss2f1 at smax 500 took 7.2 s and 254 MB peak RSS
@@ -475,7 +475,7 @@ def _cmd_pcurv(args) -> dict:
     _check_prime(args.prime)
     _check_at_most("--prime", args.prime, PCURV_PRIME_MAX)
     label, op = _resolve_operator(args)
-    report = prime_report(companion(op), args.prime, op)
+    report = prime_report(op, args.prime)
     return {
         "input": label,
         "prime": args.prime,

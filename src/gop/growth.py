@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .diffop import RatMat
+from .errors import BadPrime
 from .exact_arith import (
     GAUSS_INF,
     Poly,
@@ -141,6 +142,27 @@ def cleared_system(g: RatMat) -> _IntSystem:
         h1 = [[list(c) for c in row] for row in tg]
         sys = _IntSystem(n=g.n, t=t, tg=tg, hs=[h1])
         _SYSTEMS[g] = sys
+    return sys
+
+
+def _is_bad(sys: _IntSystem, p: int) -> bool:
+    """True iff G does not reduce mod p, for sys = cleared_system(G)."""
+    # T = d*T0 with T0 monic.  For p not dividing d, v_p(T) = 0; for p | d,
+    # the minimality of d gives min(v_p(T), v_p(TG)) = 0.  By Gauss's lemma
+    # some entry TG_ij / T of G has negative Gauss valuation exactly when
+    # p divides every coefficient of T.
+    return all(c % p == 0 for c in sys.t)
+
+
+def _bad_prime(p: int) -> BadPrime:
+    return BadPrime(p, "entry with negative Gauss valuation")
+
+
+def _good_cleared_system(g: RatMat, p: int) -> _IntSystem:
+    """cleared_system(g), or BadPrime when G does not reduce mod p."""
+    sys = cleared_system(g)
+    if _is_bad(sys, p):
+        raise _bad_prime(p)
     return sys
 
 
@@ -390,8 +412,9 @@ def bombieri_report(
 def nilpotence_valuation_bound(g: RatMat, p: int, s_upto: int = 3) -> bool:
     """For a system nilpotent mod p, certify v(G_{pns}) >= s for s <= s_upto
     (the sigma read off v(G_{pn}) >= 1).  Runs the cleared recurrence modulo
-    p^s_upto and tests every coefficient of the block at once."""
-    sys = cleared_system(g)
+    p^s_upto and tests every coefficient of the block at once.  BadPrime
+    when G does not reduce mod p."""
+    sys = _good_cleared_system(g, p)
     n = sys.n
     modulus = p**s_upto
     seq = modp.ClearedSequenceMod(sys.t, sys.tg, modulus)

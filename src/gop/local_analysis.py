@@ -266,11 +266,7 @@ def _apparent_singularity_candidate(b: list[Poly], a: Fraction, data: IndicialDa
             f"the integer exponents {exps} at z = {a} need the series to order {order}, "
             f"above the bound {APPARENT_ORDER_MAX}"
         )
-    try:
-        basis = regular_series_solutions([c.shift_argument(a) for c in b], exps, order)
-    except IrregularPoint:
-        return False
-    return basis is not None
+    return regular_series_solutions([c.shift_argument(a) for c in b], exps, order) is not None
 
 
 def regular_series_solutions(polys: list[Poly], exps: list[int], order: int):
@@ -278,22 +274,16 @@ def regular_series_solutions(polys: list[Poly], exps: list[int], order: int):
     e in exps (which must be the integer exponents at 0, sorted), or None
     when a resonance obstruction forces a logarithm.  Each solution is a dict
     exponent -> coefficient."""
-    n = len(polys) - 1
-    theta_polys = [Poly() for _ in range(n + 1)]
-    for j, b in enumerate(polys):
-        if b.is_zero():
-            continue
-        ff = falling_factorial_poly(j)
-        zb = b * Poly.x(n - j)
-        for k in range(ff.degree + 1):
-            if ff[k]:
-                theta_polys[k] = theta_polys[k] + zb * ff[k]
-    base = min(tp.valuation_at_zero() for tp in theta_polys if not tp.is_zero())
-    max_deg = max(tp.degree for tp in theta_polys if not tp.is_zero())
-    max_t = max_deg - base
-    q_polys = [Poly([tp[base + t] for tp in theta_polys]) for t in range(max_t + 1)]
-    if q_polys[0].is_zero():
-        raise IrregularPoint("no indicial part at this point")
+    # L z^k = sum over b_{j,i} != 0 of b_{j,i} k(k-1)...(k-j+1) z^(k+i-j), so
+    # with d = min(i - j) the coefficient of z^(K+d) in L sum a_k z^k is
+    # sum_t q_t(K-t) a_(K-t), q_t(k) = sum_j b_j[j+d+t] k(k-1)...(k-j+1);
+    # q_0 != 0, since some b_j[j+d] is and the k(k-1)...(k-j+1) have degree j
+    shifts = [i - j for j, b in enumerate(polys) for i, c in enumerate(b.coeffs) if c]
+    d, max_t = min(shifts), max(shifts) - min(shifts)
+    q_polys = [
+        sum((falling_factorial_poly(j) * b[j + d + t] for j, b in enumerate(polys) if b[j + d + t]), Poly())
+        for t in range(max_t + 1)
+    ]
     solutions = []
     for e in exps:
         a = {e: Fraction(1)}

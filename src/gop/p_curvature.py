@@ -1,43 +1,43 @@
 """p-curvature, nilpotence tests, and the global prime scan.
 
 Everything in characteristic p runs on one engine, ``modp.ClearedSequenceMod``,
-over the integer cleared system (T, TG) of ``growth.cleared_system``, whose
-denominators were cleared once in characteristic zero.  A prime is bad
-exactly when T = 0 mod p, which by Gauss's lemma is when some entry of G has
-negative Gauss valuation.  At a good prime the p-curvature of y' = Gy is read
-off the cleared matrix H_p = T^p G_p mod p; T is nonzero mod p there, so H_p
-and G_p share the nilpotence verdict and index.  Nilpotence has two routes,
-both on the cleared system of the companion matrix when the subject is an
-operator: the matrix power test (H_p)^n = 0, and right division of D^(pn) by
-L mod p, run as the row e_0 of the same recurrence.  The scan records whether
-the two agree when an operator is available.
+over the integer cleared system (T, TG) of ``growth.cleared_system``.  A prime
+is bad exactly when T = 0 mod p (``growth._is_bad``).  At a good prime the
+p-curvature of y' = Gy is read off H_p = T^p G_p mod p; T is nonzero mod p,
+and F_p[z] is a domain, so c H_p for any nonzero c in F_p[z] has G_p's
+nilpotence verdict and index: (c H_p)^k = c^k H_p^k vanishes exactly when
+G_p^k does.
 
-A scan reads every good prime off one run per route instead of one run per
-prime.  The run starts modulo M, the product of the good primes; at index p
-(p·n for the division test) it reduces its rows mod p, then continues
-modulo M/p, the product of the primes not yet reached.  Reduction
-Z/M -> Z/p is a ring homomorphism for p | M and the step is a polynomial
-map with integer coefficients, so H_p mod p read this way is exactly the
-run modulo p alone, and a scan over the primes up to P does about P steps
-(P·n for the division test) rather than the sum of all its primes.  ``prime_report`` is the one-prime
-case.  ``p_curvature`` and ``operator_nilpotence_by_division`` run one
-prime on its own modulus; the tests check the scan against them.
+Each scan subject steps one sequence.  A system steps H_s and reads H_p.  An
+operator L of order n steps only the row e_0 of its companion system from
+H_0 = identity.  For a companion matrix e_i G_s = e_0 G_{s+i}: both express
+the (s+i)-th derivative of a solution in y, ..., y^(n-1) (van der Put,
+Differential equations in characteristic p, 1995).  So the row at p+i is
+e_0 H_{p+i} = T^i e_i H_p, and scaling row i by T^(n-1-i) gives T^(n-1) H_p
+for the matrix test.  The row at p·n is the division test: L right-divides
+D^(pn) mod p iff it vanishes (``operator_nilpotence_by_division``), and the
+report records whether the two tests agree.
+
+A scan reads every good prime off that one run.  The run starts modulo M,
+the product of the good primes, reduces its rows mod p at each index p
+reads, and after p's last read (p·n >= p+n-1) continues modulo M/p.
+Reduction Z/M -> Z/p is a ring homomorphism for p | M and the step is a
+polynomial map with integer coefficients, so each read equals the run
+modulo p alone, and the primes up to P cost about P·n steps rather than the
+sum of all of them.  ``prime_report`` is the one-prime case;
+``p_curvature`` and ``operator_nilpotence_by_division`` run one prime on its
+own modulus, and the tests check the scan against them.
 
 Katz's indicial test (katz_honda_check) reads local_analysis's Frobenius
-rule at 0 off the monic D form, a_n = 1, reduced mod p, and asks whether
-the indicial polynomial splits over F_p.  It reduces the Q(z) coefficients
-a_j with ``modp.reduce_ratfn_mod_p`` rather than the cleared integers the
-engine runs on: that helper stays in src because ``bench/spans.py`` counts
-its calls and ``tests/test_bench_spans.py`` requires its name, and this
-test is its one caller.
+rule at 0 off the monic D form reduced mod p, and asks whether the indicial
+polynomial splits over F_p.  It reduces the Q(z) coefficients with
+``modp.reduce_ratfn_mod_p``, which stays in src because ``bench/spans.py``
+counts its calls and ``tests/test_bench_spans.py`` requires its name.
 
-Matrices over F_p[z] are ``FpMat`` [row][col] coefficient lists, the
-layout the engine returns; their products go through Kronecker
-substitution on Python integers.  numpy is loaded only once a process has
-done about one numpy import's worth of list steps in the engine, and only
-for a modulus at which int64 sums hold (see ``modp``): a scan over more
-than a few primes runs on lists, and short scans and single small primes
-never load it.
+Matrices over F_p[z] are ``FpMat`` [row][col] coefficient lists, multiplied
+by Kronecker substitution.  numpy is loaded only once a process has done
+about one numpy import's worth of list steps, and only at a modulus where
+int64 sums hold (see ``modp``).
 """
 
 from __future__ import annotations
@@ -46,32 +46,11 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .diffop import DiffOp, RatMat, companion
-from .errors import BadPrime, IrregularPoint
+from .errors import IrregularPoint
 from .exact_arith import falling_factorial_poly
-from .growth import cleared_system
+from .growth import _bad_prime, _good_cleared_system, _is_bad, cleared_system
 from .local_analysis import _frobenius
 from .modp import ClearedSequenceMod, FpMat, _reduce, reduce_poly_mod_p, reduce_ratfn_mod_p
-
-
-def _is_bad(sys, p: int) -> bool:
-    """True iff G does not reduce mod p, for sys = cleared_system(G)."""
-    # T = d*T0 with T0 monic.  For p not dividing d, v_p(T) = 0; for p | d,
-    # the minimality of d gives min(v_p(T), v_p(TG)) = 0.  By Gauss's lemma
-    # some entry TG_ij / T of G has negative Gauss valuation exactly when
-    # p divides every coefficient of T.
-    return all(c % p == 0 for c in sys.t)
-
-
-def _bad_prime(p: int) -> BadPrime:
-    return BadPrime(p, "entry with negative Gauss valuation")
-
-
-def _good_cleared_system(g: RatMat, p: int):
-    """cleared_system(g), or BadPrime when G does not reduce mod p."""
-    sys = cleared_system(g)
-    if _is_bad(sys, p):
-        raise _bad_prime(p)
-    return sys
 
 
 def p_curvature(g: RatMat, p: int) -> FpMat:
@@ -191,55 +170,66 @@ class GlobalScan(NamedTuple):
     verdict: str  # "AllGoodNilpotent" | "FoundNonNilpotent" | "Mixed" | "NoGoodPrime"
 
 
-def _rows_at_primes(sys, primes: Sequence[int], start=None, s: int = 1, stride: int = 1):
-    """(p, the rows at index stride·p mod p) for each of the distinct
-    ascending primes, read off one run of the cleared sequence: it starts
-    modulo the product of the primes, and after each prime it continues
-    modulo the product of the primes it has not reached."""
-    m = math.prod(primes)
-    seq = ClearedSequenceMod(sys.t, sys.tg, m, start=start, s=s)
-    for p in primes:
-        rows = seq.goto(stride * p)
-        yield p, [[_reduce(c, p) for c in row] for row in rows]
-        m //= p
-        if m > 1:
-            seq.reduce_modulus(m)
+def _rows_at_primes(sys, reads: dict[int, list[int]], start: list):
+    """(p, k, the rows at index k mod p) for each prime p and each index k
+    of reads[p], in ascending k, off one run of the cleared sequence from
+    the rows start of H_0 = identity: it starts modulo the product of the
+    primes, and after a prime's last read it continues modulo the product
+    of the primes still to be read."""
+    m = math.prod(reads)
+    seq = ClearedSequenceMod(sys.t, sys.tg, m, start=start, s=0)
+    for k, p in sorted({(k, p) for p, ks in reads.items() for k in ks}):
+        yield p, k, [[_reduce(c, p) for c in row] for row in seq.goto(k)]
+        if k == max(reads[p]):
+            m //= p
+            if m > 1:
+                seq.reduce_modulus(m)
 
 
-def _reports(g: RatMat, primes: Sequence[int], operator: Optional[DiffOp]) -> list[PCurvatureReport]:
-    """A report for each entry of the ascending primes, the division test's
-    agreement included when the operator L (G = companion(L)) is given.
+def _scaled_p_curvature(rows: list[list[list[int]]], t: list[int], p: int) -> FpMat:
+    """T^(n-1) H_p mod p for a companion system, from rows[i] = e_0 H_{p+i}
+    = T^i e_i H_p: row i times T^(n-1-i)."""
+    t, power, out = FpMat(p, [[_reduce(t, p)]]), FpMat(p, [[[1]]]), []
+    for row in reversed(rows):
+        out.append([(power * FpMat(p, [[c]])).entries[0][0] for c in row])
+        power = power * t
+    return FpMat(p, out[::-1])
 
-    The p-curvature at every good prime comes off one run modulo their
-    product, and the division test off one run of the row e_0 from index 0,
-    read at p·n; each equals the run modulo p alone, since reduction
-    Z/M -> Z/p commutes with the step."""
-    sys = cleared_system(g)
+
+def _reports(subject, primes: Sequence[int]) -> list[PCurvatureReport]:
+    """A report for each entry of the ascending primes, read off one run
+    modulo the product of the good primes: of H_s for a system, of the row
+    e_0 of the companion system from index 0 for an operator L, read at
+    p, ..., p+n-1 for the matrix test and at p·n for the division test."""
+    operator = isinstance(subject, DiffOp)
+    sys = cleared_system(companion(subject) if operator else subject)
+    n = len(sys.tg)
     good = sorted({p for p in primes if not _is_bad(sys, p)})
-    nilpotence, agreement = {}, {}
-    if good:
-        for p, rows in _rows_at_primes(sys, good):
+    reads = {p: [*range(p, p + n), p * n] if operator else [p] for p in good}
+    identity = [[[1] if i == j else [] for j in range(n)] for i in range(n)]
+    nilpotence, agreement, h_rows = {}, {}, {}
+    for p, k, rows in _rows_at_primes(sys, reads, identity[:1] if operator else identity) if good else ():
+        if not operator:
             nilpotence[p] = is_nilpotent(FpMat(p, rows))
-        if operator is not None:
-            start = [[[1]] + [[] for _ in range(g.n - 1)]]
-            for p, rows in _rows_at_primes(sys, good, start, 0, g.n):
-                divides = not any(c for row in rows for c in row)
-                agreement[p] = divides == nilpotence[p][0]
-    reports = []
-    for p in primes:
-        if p in nilpotence:
-            nil, index = nilpotence[p]
-            reports.append(PCurvatureReport(p, "Nilpotent" if nil else "NonNilpotent", index, agreement.get(p, True)))
-        else:
-            reports.append(PCurvatureReport(p, "BadPrime", None, True, str(_bad_prime(p))))
-    return reports
+            continue
+        if k < p + n:
+            h_rows.setdefault(p, []).append(rows[0])
+            if k == p + n - 1:
+                nilpotence[p] = is_nilpotent(_scaled_p_curvature(h_rows.pop(p), sys.t, p))
+        if k == p * n:
+            agreement[p] = (not any(rows[0])) == nilpotence[p][0]
+    return [
+        PCurvatureReport(p, "Nilpotent" if nilpotence[p][0] else "NonNilpotent", nilpotence[p][1], agreement.get(p, True))
+        if p in nilpotence else PCurvatureReport(p, "BadPrime", None, True, str(_bad_prime(p)))
+        for p in primes
+    ]
 
 
-def prime_report(g: RatMat, p: int, operator: Optional[DiffOp] = None) -> PCurvatureReport:
-    """Nilpotence verdict and index of the p-curvature of G at the prime p,
-    with the division test's agreement when the operator L (G =
-    companion(L)) is given.  BadPrime when G does not reduce mod p."""
-    report = _reports(g, (p,), operator)[0]
+def prime_report(subject, p: int) -> PCurvatureReport:
+    """Nilpotence verdict and index of the p-curvature of a system or an
+    operator at the prime p, with the division test's agreement for an
+    operator.  BadPrime when the subject does not reduce mod p."""
+    report = _reports(subject, (p,))[0]
     if report.status == "BadPrime":
         raise _bad_prime(p)
     return report
@@ -248,15 +238,11 @@ def prime_report(g: RatMat, p: int, operator: Optional[DiffOp] = None) -> PCurva
 def global_scan(subject, primes: Sequence[int], subject_id: str = "") -> GlobalScan:
     """Per-prime p-curvature reports and an aggregate verdict.
 
-    ``subject`` is a system matrix or an operator; operators additionally run
-    the division test and record method agreement.  Bad primes are excluded
-    from the verdict, mirroring the finite exceptional set of a scan."""
-    if isinstance(subject, DiffOp):
-        operator, g = subject, companion(subject)
-    else:
-        operator, g = None, subject
+    ``subject`` is a system matrix or an operator; operators additionally
+    record the division test's agreement.  Bad primes are excluded from the
+    verdict, mirroring the finite exceptional set of a scan."""
     primes = tuple(sorted(primes))
-    reports = _reports(g, primes, operator)
+    reports = _reports(subject, primes)
     good = [r for r in reports if r.status != "BadPrime"]
     if not good:
         verdict = "NoGoodPrime"

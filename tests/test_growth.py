@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from gop import growth, modp
 from gop.catalog import polylog_operator, polylog_system
 from gop.cli import parse_operator
@@ -212,6 +214,13 @@ def test_nilpotence_valuation_bound():
                 continue
             if nil:
                 assert nilpotence_valuation_bound(g, p, 3), (label, p)
+    # at a bad prime the bound raises as p_curvature does: y' = Gy with
+    # G = [[0, 1/(2z)], [0, 0]] does not reduce mod 2, and v_2(G_4) = 0 < 1
+    half = RatMat([[0, RatFn(Poly([1]), Poly([0, 2]))], [0, 0]])
+    for check in (p_curvature, nilpotence_valuation_bound):
+        with pytest.raises(BadPrime):
+            check(half, 2)
+    assert nilpotence_valuation_bound(half, 3, 3)
 
 
 def test_modular_engine_matches_integers_at_large_modulus(monkeypatch):

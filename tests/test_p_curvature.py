@@ -15,7 +15,7 @@ from gop.catalog import (
     polylog_operator,
     polylog_system,
 )
-from gop.cli import parse_operator
+from gop.cli import parse_operator, run_command
 from gop.diffop import Basis, RatMat, companion
 from gop.errors import BadPrime, IrregularPoint
 from gop.exact_arith import Poly, RatFn, primes_upto
@@ -23,6 +23,8 @@ from gop.growth import cleared_system
 from gop.modp import ClearedSequenceMod, reduce_poly_mod_p, reduce_ratfn_mod_p
 from gop.p_curvature import (
     FpMat,
+    _rows_at_primes,
+    _scaled_p_curvature,
     global_scan,
     is_nilpotent,
     katz_honda_check,
@@ -328,7 +330,60 @@ def test_scan_edge_cases(monkeypatch):
         assert [r.status for r in scan.reports] == ["BadPrime"] * len(primes)
         assert list(scan.reports) == per_prime_scan(six, primes)
     with pytest.raises(BadPrime):
-        prime_report(companion(six), 3, six)
+        prime_report(six, 3)
+
+
+def test_row_run_reads_scaled_p_curvature():
+    # for a companion system the row e_0 at p+i is T^i e_i H_p, so scaling
+    # row i by T^(n-1-i) gives T^(n-1) H_p; one run over every good prime
+    # <= 60 covers p < n, n = 1 and indices read by two primes
+    rng = random.Random(44)
+    ops = [entry.operator for entry in CATALOG.values()]
+    ops += [drawn_operator(rng, (Basis.D, Basis.THETA)[k % 2]) for k in range(16)]
+    assert {op.order for op in ops} == {1, 2, 3}
+    for op in ops:
+        g = companion(op)
+        sys, n = cleared_system(g), g.n
+        good = [p for p in primes_upto(60) if not gauss_rule_is_bad(g, p)]
+        rows = {p: [] for p in good}
+        start = [[[1]] + [[] for _ in range(n - 1)]]
+        for p, k, block in _rows_at_primes(sys, {p: list(range(p, p + n)) for p in good}, start):
+            assert k == p + len(rows[p])
+            rows[p].append(block[0])
+        for p in good:
+            t_power = [[[1]]]
+            for _ in range(n - 1):
+                t_power = _schoolbook_product(t_power, [[[c % p for c in sys.t]]], p)
+            scalar = [[t_power[0][0] if i == j else [] for j in range(n)] for i in range(n)]
+            want = _schoolbook_product(scalar, p_curvature(g, p).entries, p)
+            assert _scaled_p_curvature(rows[p], sys.t, p).entries == want, (op, p)
+
+
+def test_one_sequence_per_scan_subject(monkeypatch):
+    # a scan or a one-prime report steps one cleared sequence, for an
+    # operator as for a system
+    built = []
+
+    class Counted(ClearedSequenceMod):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    def cli(*argv):
+        assert run_command(list(argv))[0] == 0, argv
+
+    monkeypatch.setattr(importlib.import_module("gop.p_curvature"), "ClearedSequenceMod", Counted)
+    li2 = polylog_operator(2)
+    for run in (
+        lambda: global_scan(li2, primes_upto(50)),
+        lambda: prime_report(li2, 101),
+        lambda: global_scan(polylog_system(2), primes_upto(50)),
+        lambda: cli("scan", "--catalog", "gauss2f1", "--primes", "2..60"),
+        lambda: cli("pcurv", "--catalog", "theta2m2", "--prime", "7"),
+    ):
+        built.clear()
+        run()
+        assert len(built) == 1
 
 
 def _mod(rows, p):
