@@ -351,7 +351,8 @@ SMAX_MAX = 500
 # every H_m: bombieri on gauss2f1 at s 500 took 6.2 s and 255 MB peak RSS
 S_MAX = 500
 # pade solves n·M order conditions in N + 1 unknowns over Q, n the system
-# dimension: polylog:3 at N 200 took 3.1 s with M 6 and 8.4 s with M 20
+# dimension: polylog:3 at N 200 took 0.5-0.7 s with M 6 and 3.6-4.7 s with
+# M 20, most of it in that solve
 PADE_N_MAX = 200
 PADE_M_MAX = 20
 
@@ -633,8 +634,16 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose errors raise UsageError, so that a malformed
+    command line ends in the usage envelope like any other usage error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_argparser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="gop", description="exact analysis of linear differential operators over Q(z)")
+    top = _ArgumentParser(prog="gop", description="exact analysis of linear differential operators over Q(z)")
     top.add_argument("--format", choices=("json", "text"), default="json")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -706,11 +715,18 @@ def run_command(argv, emit=None) -> tuple[int, dict]:
     """Dispatch one command; returns (exit code, envelope).  With emit, the
     envelope is also rendered in the --format the command line asks for and
     handed to emit as one string."""
+    # the subcommand is recorded here as soon as argparse reaches it, so an
+    # error in its arguments names it and an earlier error names none
+    args = argparse.Namespace(command="")
     try:
-        args = _build_argparser().parse_args(argv)
-    except SystemExit as exc:
-        return (0 if exc.code == 0 else 1), {}
-    code, envelope = _dispatch(args)
+        _build_argparser().parse_args(argv, args)
+    except SystemExit:
+        # --help printed the usage
+        return 0, {}
+    except UsageError as exc:
+        code, envelope = 1, _error_envelope(args.command, exc)
+    else:
+        code, envelope = _dispatch(args)
     if emit is not None:
         if args.format == "text":
             emit("\n".join(_render_text(envelope)))
@@ -724,20 +740,9 @@ def _dispatch(args) -> tuple[int, dict]:
     try:
         result = _COMMANDS[args.command](args)
     except UsageError as exc:
-        return 1, {
-            "tool": "gop",
-            "version": __version__,
-            "command": args.command,
-            "error": str(exc),
-        }
+        return 1, _error_envelope(args.command, exc)
     except DomainError as exc:
-        return 2, {
-            "tool": "gop",
-            "version": __version__,
-            "command": args.command,
-            "error": str(exc),
-            "error_kind": type(exc).__name__,
-        }
+        return 2, _error_envelope(args.command, exc) | {"error_kind": type(exc).__name__}
     envelope = {
         "tool": "gop",
         "version": __version__,
@@ -746,6 +751,10 @@ def _dispatch(args) -> tuple[int, dict]:
         "timing_ms": int((time.perf_counter() - started) * 1000),
     }
     return 0, envelope
+
+
+def _error_envelope(command: str, exc: Exception) -> dict:
+    return {"tool": "gop", "version": __version__, "command": command, "error": str(exc)}
 
 
 def main(argv=None) -> int:

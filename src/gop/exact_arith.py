@@ -487,39 +487,30 @@ def poly_text(p: Poly, var: str = "z") -> str:
     return " ".join(parts)
 
 
-def resultant(f: Poly, g: Poly) -> Fraction:
-    """Resultant over Q via fraction-free elimination of the Sylvester matrix."""
-    if f.is_zero() or g.is_zero():
-        return Fraction(0)
-    m, n = f.degree, g.degree
-    if m == 0:
-        return f.constant() ** n
-    if n == 0:
-        return g.constant() ** m
-    size = m + n
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i))
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col]), None)
+def poly_det(mat: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a square matrix over Q[y] by fraction-free elimination
+    (Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 1968).  After step k every entry below and to
+    the right of the pivot is a (k+2)-minor of the row-swapped matrix, so the
+    division by the previous pivot is exact and no entry leaves Q[y]."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, Poly.ONE
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            factor = rows[r][col] * inv
-            if factor:
-                for c2 in range(col, size):
-                    rows[r][c2] -= factor * rows[col][c2]
-    return det
+            return Poly()
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pk = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            a[i][k + 1 :] = [
+                (pk * x - aik * y).exact_div(prev) for x, y in zip(a[i][k + 1 :], a[k][k + 1 :])
+            ]
+        prev = pk
+    return a[-1][-1] if sign > 0 else -a[-1][-1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ and those terms give the indicial polynomial.
 * At a finite point a the leading j minimise ord_a b_j - j, and each
   contributes (b_j / (z - a)^ord)(a) y(y-1)...(y-j+1).  A rational point is
   the class z - a; algebraic (non-rational) locations are classes cut out by
-  a squarefree polynomial f, computed with coefficients in Q[x]/(f) and
-  flattened through a resultant, so only exact Q-arithmetic is ever needed.
+  a monic squarefree polynomial f.  There the contributions are polynomials
+  Phi(x, y) with x in Q[x]/(f), and the class keeps their norm
+  det Phi(C_f, y), C_f the companion matrix of f: the product of Phi(a, y)
+  over the roots a of f, computed with exact Q-arithmetic only.
 * At infinity the leading j maximise deg b_j - j, and each contributes
   lc(b_j) (-y)(-y-1)...(-y-j+1).
 
@@ -22,17 +24,11 @@ Every pole profile lists (j, ord b_n - ord b_{n-j}) in ascending j.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .diffop import DiffOp, INFINITY, companion, is_infinity
 from .errors import IrregularPoint, UsageError
-from .exact_arith import (
-    Poly,
-    as_fraction,
-    falling_factorial_poly,
-    poly_gcd,
-    resultant,
-)
+from .exact_arith import Poly, as_fraction, falling_factorial_poly, poly_det, poly_gcd
 from .growth import cleared_system
 
 
@@ -106,17 +102,19 @@ def _class_multiplicities(polys: list[Poly], f: Poly) -> list[Optional[int]]:
 def _class_data(b: list[Poly], piece: Poly, location) -> IndicialData:
     """The rule at the roots of the monic squarefree piece, along which every
     b_j has uniform order.  With C_j = b_j / piece^(ord b_j), a leading j
-    contributes C_j(x) piece'(x)^(ord b_j) y(y-1)...(y-j+1) at a root x, and
-    Res_x(piece, Phi) collapses the class to one Q-polynomial in y whose root
-    set is the union of the exponent sets over the conjugate points."""
+    contributes C_j(x) piece'(x)^(ord b_j) y(y-1)...(y-j+1) at a root x.  The
+    sum Phi(x, y) is taken modulo piece, and its norm det Phi(C, y), C the
+    companion matrix of piece, is one Q-polynomial in y whose root set is the
+    union of the exponent sets over the conjugate points.  For piece = z - a
+    the matrix is 1 x 1 and the norm is Phi(a, y)."""
     ks = _class_multiplicities(b, piece)
     regular, profile, leading = _frobenius(ks, -1)
     point = SingularPoint(location=location, regular=regular, pole_profile=profile)
     if not regular:
         return _data(point, None)
-    n = len(b) - 1
     fp = piece.derivative()
-    phi_y = [Poly() for _ in range(n + 1)]
+    # phi[d] is the coefficient of y^d, a polynomial in x of degree < deg piece
+    phi = [Poly() for _ in range(len(b))]
     for j in leading:
         cof = b[j]
         for _ in range(ks[j]):
@@ -125,15 +123,20 @@ def _class_data(b: list[Poly], piece: Poly, location) -> IndicialData:
         ff = falling_factorial_poly(j)
         for d in range(ff.degree + 1):
             if ff[d]:
-                phi_y[d] = phi_y[d] + coeff_x * ff[d]
-    ys = [Fraction(k) for k in range(piece.degree * n + 1)]
-    values = []
-    for y0 in ys:
-        py = Poly()
-        for d, cx in enumerate(phi_y):
-            py = py + cx * (y0**d)
-        values.append(resultant(piece, py) if not py.is_zero() else Fraction(0))
-    return _data(point, _interpolate(ys, values).primitive())
+                phi[d] = phi[d] + coeff_x * ff[d]
+    return _data(point, _norm(piece, phi).primitive())
+
+
+def _norm(piece: Poly, phi: list[Poly]) -> Poly:
+    """det Phi(C, y) for Phi(x, y) = sum_d phi[d](x) y^d, every phi[d] of
+    degree < deg piece, and C the companion matrix of the monic piece: column
+    k of Phi(C, y) holds the coefficients of x^k Phi(x, y) mod piece, so the
+    determinant is the product of Phi(a, y) over the roots a of piece, with
+    multiplicity."""
+    cols = [phi]
+    for _ in range(piece.degree - 1):
+        cols.append([(c * Poly.x()) % piece for c in cols[-1]])
+    return poly_det([[Poly([c[i] for c in col]) for col in cols] for i in range(piece.degree)])
 
 
 def _infinity_data(b: list[Poly]) -> IndicialData:
@@ -219,22 +222,6 @@ def analyze_algebraic_class(l: DiffOp, f: Poly) -> list[IndicialData]:
     entry per piece of f along which every coefficient has uniform order."""
     b = _cleared_coeffs(l)
     return [_class_data(b, piece, piece) for piece in _split_class(b, f.monic())]
-
-
-def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Poly:
-    """Lagrange interpolation through (xs[i], ys[i])."""
-    acc = Poly()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        num = Poly.const(yi)
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = num * Poly([-xj, 1])
-                den *= xi - xj
-        acc = acc + num * (1 / den)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .diffop import RatMat, TruncatedSeries
 from .errors import InsufficientTruncation, NoSolution
-from .exact_arith import Poly, RatFn, as_ratfn
+from .exact_arith import Poly, RatFn, as_ratfn, poly_det
 from .growth import _step, cleared_system, gs_sequence
 
 
@@ -182,21 +182,6 @@ def derived_tower(ps: Sequence[Poly], g: RatMat, h_max: int) -> list[list[Poly]]
         scale *= m + 1
         tower.append([Poly([Fraction(c, scale) for c in poly]) for poly in w[0]])
     return tower
-
-
-def poly_det(mat: list[list[Poly]]) -> Poly:
-    """Cofactor determinant; matrices here stay tiny."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    acc = Poly()
-    for j in range(n):
-        if mat[0][j].is_zero():
-            continue
-        minor = [[mat[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = mat[0][j] * poly_det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
 
 
 def shidlovskii_matrix(tower: Sequence[Sequence[Poly]]) -> tuple[list[list[Poly]], Poly]:

@@ -402,6 +402,107 @@ def theta_indicial_data(l: DiffOp, point):
 
 
 # ---------------------------------------------------------------------------
+# resultants, determinants and the sampled indicial norm
+
+
+def resultant(f: Poly, g: Poly) -> Fraction:
+    """Resultant over Q by Gaussian elimination of the Sylvester matrix."""
+    if f.is_zero() or g.is_zero():
+        return Fraction(0)
+    m, n = f.degree, g.degree
+    if m == 0:
+        return f.constant() ** n
+    if n == 0:
+        return g.constant() ** m
+    size = m + n
+    rows = []
+    fc = list(reversed(f.coeffs))
+    gc = list(reversed(g.coeffs))
+    for i in range(n):
+        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i))
+    for i in range(m):
+        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i))
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, size):
+            factor = rows[r][col] * inv
+            if factor:
+                for c2 in range(col, size):
+                    rows[r][c2] -= factor * rows[col][c2]
+    return det
+
+
+def cofactor_det(mat) -> Poly:
+    """Determinant of a square matrix of Polys by cofactor expansion along
+    the first row: n! products."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    acc = Poly()
+    for j in range(n):
+        if mat[0][j].is_zero():
+            continue
+        minor = [[mat[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = mat[0][j] * cofactor_det(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def lagrange_interpolate(xs, ys) -> Poly:
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i])."""
+    acc = Poly()
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        if yi == 0:
+            continue
+        num = Poly.const(yi)
+        den = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                num = num * Poly([-xj, 1])
+                den *= xi - xj
+        acc = acc + num * (1 / den)
+    return acc
+
+
+def sampled_class_phi(b, piece: Poly):
+    """The primitive indicial polynomial of L = sum_j b[j] D^j at the roots
+    of the monic squarefree piece, or None when they are irregular, by
+    sampling: for y0 = 0, 1, ..., deg(piece)*n take Res_x(piece, Phi(x, y0)),
+    where a j with the least ord b_j - j contributes
+    (b_j / piece^(ord b_j))(x) piece'(x)^(ord b_j) y0(y0-1)...(y0-j+1), then
+    interpolate through the samples."""
+    n = len(b) - 1
+    ords = [None if c.is_zero() else c.factor_multiplicity(piece) for c in b]
+    weights = [None if k is None else k - j for j, k in enumerate(ords)]
+    if any(w is not None and w < weights[n] for w in weights):
+        return None
+    fp = piece.derivative()
+    terms = []
+    for j, k in enumerate(ords):
+        if weights[j] == weights[n]:
+            cof = b[j]
+            for _ in range(k):
+                cof = cof.exact_div(piece)
+            terms.append((j, (cof * fp**k) % piece))
+    ys = [Fraction(y0) for y0 in range(piece.degree * n + 1)]
+    values = []
+    for y0 in ys:
+        py = Poly()
+        for j, cx in terms:
+            py = py + cx * falling_factorial_poly(j).evaluate(y0)
+        values.append(resultant(piece, py))
+    return lagrange_interpolate(ys, values).primitive()
+
+
+# ---------------------------------------------------------------------------
 # integers, valuations and exponents
 
 

@@ -196,9 +196,29 @@ def test_text_format(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "rational_exponents" in out and "{" not in out
-    # --format is one argparse option: an unknown value is a usage error
+    # --format is one argparse option: an unknown value is a usage error,
+    # raised before argparse reaches the subcommand
     rc = main(["--format", "xml", "classify", "D"])
-    assert rc == 1 and capsys.readouterr().out == ""
+    env = json.loads(capsys.readouterr().out)
+    assert rc == 1 and env["command"] == "" and "xml" in env["error"]
+
+
+def test_argparse_errors_give_usage_envelopes(capsys):
+    cases = {
+        ("classify", "-z*D+1"): "classify",
+        ("pcurv", "--catalog", "polylog:2"): "pcurv",
+        ("pcurv", "--catalog", "polylog:2", "--prime", "x"): "pcurv",
+        ("frobnicate", "D"): "",
+        (): "",
+    }
+    for argv, command in cases.items():
+        code, env = run_command(list(argv))
+        assert code == 1 and env["command"] == command, argv
+        validate(env, USAGE_ERROR_SCHEMA)
+    assert main(["classify", "-z*D+1"]) == 1
+    assert json.loads(capsys.readouterr().out)["command"] == "classify"
+    # --help prints the usage and succeeds, with no envelope
+    assert main(["--help"]) == 0 and capsys.readouterr().out.startswith("usage: gop")
 
 
 def test_json_format_default(capsys):
@@ -346,6 +366,16 @@ def test_growth_at_large_prime_bound():
             assert code == 0 and seconds < 5
             for key in ("sigma_hat", "rho_hat", "h_table", "sandwich_ok"):
                 assert env["result"].get(key) == ref["result"].get(key), key
+
+
+def test_pade_determinant_polynomial_in_dimension():
+    # Delta of the weight-7 tower is an 8 x 8 polynomial determinant; a
+    # cofactor expansion (8! terms) took 46 s here
+    argv = ["pade", "--catalog", "polylog:7", "--N", "20", "--M", "2"]
+    [(code, has_error, seconds, env)] = _run_in_child([argv])
+    assert code == 0 and not has_error
+    assert seconds < 10
+    validate(env, load_schema("pade"))
 
 
 def test_siegel_bound_past_float_range():

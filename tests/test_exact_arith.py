@@ -20,10 +20,9 @@ from gop.exact_arith import (
     kummer_vp_factorial,
     poly_gcd,
     primes_upto,
-    resultant,
     vp_fraction,
 )
-from oracles import lcm_upto, schoolbook_product, series_gauss_valuation
+from oracles import lcm_upto, resultant, schoolbook_product, series_gauss_valuation
 
 PRIMES = (2, 3, 5)
 

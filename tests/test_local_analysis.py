@@ -17,12 +17,19 @@ from gop.diffop import Basis, DiffOp, INFINITY, is_infinity, op_mul
 from gop.errors import IrregularPoint
 from gop.exact_arith import Poly, RatFn
 from gop.local_analysis import (
+    _cleared_coeffs,
     analyze_algebraic_class,
     classify_operator,
     exponents,
     indicial_data,
 )
-from oracles import apply_to_power, hypergeom_expected_exponents, theta_indicial_data
+from oracles import (
+    apply_to_power,
+    drawn_operator,
+    hypergeom_expected_exponents,
+    sampled_class_phi,
+    theta_indicial_data,
+)
 
 G2F1 = hypergeom_operator([Fraction(1, 2), Fraction(1, 2)], [Fraction(1)])
 
@@ -195,6 +202,51 @@ def test_classify_with_algebraic_class():
     assert len(class_points) == 1
     assert profile.fuchsian
     assert not profile.all_exponents_rational
+
+
+def _irreducible_leading_operators():
+    """Operators whose leading coefficient has an irreducible factor f of
+    degree 2..8 (z^d - z - 1 by Selmer's theorem, z^d + 2 by Eisenstein's
+    criterion, z^4 + 1, z^6 + z^3 + 1), in four shapes: regular at the roots
+    of f with one, two or all terms leading, and irregular there.  The
+    all-leading shape stops at degree 6: its indicial polynomial has leading
+    coefficient disc(f)^2 up to content, and rational_roots enumerates the
+    divisors of that."""
+    z = Poly.x()
+    fs = [z**d - z - 1 for d in range(2, 9)] + [z**d + 2 for d in range(2, 9)]
+    fs += [z**4 + 1, z**6 + z**3 + 1]
+    ops = []
+    for f in fs:
+        ops.append(DiffOp(Basis.D, [z, Poly.ONE, f]))
+        ops.append(DiffOp(Basis.D, [Poly.ONE, z, Poly.ONE, (z - 1) * f]))
+        ops.append(DiffOp(Basis.D, [Poly.ONE, Poly.ONE, f**3]))
+        if f.degree <= 6:
+            ops.append(DiffOp(Basis.D, [Poly.const(3), (z + 1) * f, f**2]))
+    return ops
+
+
+def test_indicial_norm_matches_sampled_resultants():
+    # the norm det Phi(C_f, y) against the route it replaced: Res_x(f, Phi)
+    # at deg(f)*n + 1 values of y, then Lagrange interpolation
+    rng = random.Random(14)
+    ops = [entry.operator for entry in CATALOG.values()]
+    ops += [drawn_operator(rng, basis) for _ in range(30) for basis in (Basis.D, Basis.THETA)]
+    ops += _irreducible_leading_operators()
+    class_degrees = []
+    for l in ops:
+        b = _cleared_coeffs(l)
+        for data in classify_operator(l).points:
+            loc = data.point.location
+            if is_infinity(loc):
+                continue
+            if isinstance(loc, Poly):
+                want = sampled_class_phi(b, loc)
+                class_degrees.append(loc.degree)
+            else:
+                want = sampled_class_phi(b, Poly([-loc, 1]))
+                want = want and want.monic()
+            assert data.phi == want, (l, loc)
+    assert set(range(2, 9)) <= set(class_degrees) and len(class_degrees) >= 64
 
 
 def test_hypergeom_exponent_bullets_random():
