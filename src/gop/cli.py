@@ -344,11 +344,15 @@ PCURV_PRIME_MAX = 2000
 # product, steps of O(s) operations on integers of up to that product's size:
 # gauss2f1 over 2..1000 took 4.1 s
 SCAN_PRIME_MAX = 1000
-# galochkin and radius run smax integer steps and keep every H_s: galochkin on
-# gauss2f1 at smax 500 took 7.2 s and 254 MB peak RSS
+# galochkin and radius run smax integer steps of the rows of H_s, kept as
+# primitive parts, only the row e_0 on a companion system: galochkin on
+# polylog:3's 4 x 4 chain system at smax 500 took 1.6 s and 113 MB peak RSS,
+# on gauss2f1 0.8-0.95 s and 65 MB.  The bound is on s alone, and the order n
+# multiplies the cost: galochkin on polylog:10 at smax 300 took 4.4 s, 376 MB
 SMAX_MAX = 500
 # size and bombieri run s of those steps and then read each prime p <= s off
-# every H_m: bombieri on gauss2f1 at s 500 took 6.2 s and 255 MB peak RSS
+# every content c_m: bombieri on polylog:3 at s 500 took 1.9 s and 113 MB
+# peak RSS, on gauss2f1 1.2-1.5 s and 65 MB
 S_MAX = 500
 # pade solves n·M order conditions in N + 1 unknowns over Q, n the system
 # dimension: polylog:3 at N 200 took 0.5-0.7 s with M 6 and 3.6-4.7 s with

@@ -15,7 +15,18 @@ modp.ClearedSequenceMod runs it mod m until numpy pays for itself.
 
 Every p-adic quantity reads the integer content c_m = gcd of the
 coefficients of H_m, once per m for all primes: min v_p(H_m) = v_p(c_m), and
-lcm over coefficients c of m!/gcd(m!, c) equals m!/gcd(m!, c_m).
+lcm over coefficients c of m!/gcd(m!, c) equals m!/gcd(m!, c_m).  c_m is
+read off the rows of H_m, never off the full block.  _step is Z-linear and
+maps each row e_r H_s to e_r H_(s+1), so a row c K with K primitive steps to
+c _step(K): each row is stepped as its primitive part, the content of a row
+at s divides its content at s+1, and c_m is the gcd of the row contents.
+When G has companion shape (rows 0..n-2 of TG are T e_1, ..., T e_(n-1),
+as for every companion(L)), e_i G_s = e_0 G_(s+i), so
+T^i e_i H_s = e_0 H_(s+i) and, by Gauss's lemma,
+content(e_i H_s) = content(e_0 H_(s+i)) / content(T)^i: only the row e_0 is
+stepped, and c_m is read off it at m, ..., m+n-1.  p_curvature reads the
+rows of H_p mod p off the same row by the same identity.
+
 Logarithmic quantities are carried as exact {prime: exponent} combinations
 for as long as possible; floats appear only in reports.
 """
@@ -43,26 +54,46 @@ from . import modp
 
 
 class _IntSystem:
-    """Integer cleared form of a system plus the growing H_s list and the
-    contents of its members."""
+    """Integer cleared form (T, TG) of a system, plus the rows of H_s it has
+    stepped, each stored as a primitive part and a content, and the contents
+    c_s of H_s read off them.
 
-    def __init__(self, n: int, t: list[int], tg: list[list[list[int]]], hs: list):
+    On a companion-shape G only the row e_0 is stepped, and c_s is read off
+    e_0 at s, ..., s+n-1; otherwise every row is.  hs[s-1] is the block of
+    stepped primitive rows at s (one row or n), each row a list of n
+    coefficient lists."""
+
+    def __init__(self, n: int, t: list[int], tg: list[list[list[int]]]):
         self.n = n
         self.t = t
         self.tg = tg
-        self.hs = hs  # hs[s-1] = H_s as int coefficient lists
-        self.contents: list[int] = []  # gcd of H_s's coefficients
-
-    def h(self, s: int):
-        while len(self.hs) < s:
-            self._advance()
-        return self.hs[s - 1]
+        # rows 0..n-2 of TG are T e_1, ..., T e_(n-1)
+        self.companion_shape = all(
+            tg[i][j] == (t if j == i + 1 else []) for i in range(n - 1) for j in range(n)
+        )
+        self.hs: list = []  # hs[s-1] = the stepped primitive rows at s
+        self.row_contents: list[list[int]] = []  # their contents, row by row
+        self.contents: list[int] = []  # c_s = gcd of H_s's coefficients
+        # content(T)^i, the factor between e_i H_s and e_0 H_(s+i)
+        self.t_powers = [math.gcd(*t) ** i for i in range(n)]
+        rows = tg[:1] if self.companion_shape else tg
+        self._store(rows, [1] * len(rows))
 
     def content(self, s: int) -> int:
         """gcd of every coefficient of H_s; 0 when H_s vanishes."""
         while len(self.contents) < s:
-            h = self.h(len(self.contents) + 1)
-            self.contents.append(math.gcd(*(c for row in h for poly in row for c in poly)))
+            m = len(self.contents)  # c_(m+1) next
+            if self.companion_shape:
+                # T^i e_i H_s = e_0 H_(s+i), so by Gauss's lemma
+                # content(e_i H_s) = content(e_0 H_(s+i)) / content(T)^i
+                self._reach(m + self.n)
+                c = math.gcd(
+                    *(self.row_contents[m + i][0] // self.t_powers[i] for i in range(self.n))
+                )
+            else:
+                self._reach(m + 1)
+                c = math.gcd(*self.row_contents[m])
+            self.contents.append(c)
         return self.contents[s - 1]
 
     def vp(self, s: int, p: int):
@@ -70,8 +101,24 @@ class _IntSystem:
         c = self.content(s)
         return vp_int(c, p) if c else GAUSS_INF
 
-    def _advance(self):
-        self.hs.append(_step(self.hs[-1], len(self.hs), self.t, self.tg))
+    def _reach(self, s: int):
+        """Step the stored rows up to index s: the row c K, K primitive,
+        steps to c _step(K) (see the module docstring)."""
+        while len(self.hs) < s:
+            self._store(_step(self.hs[-1], len(self.hs), self.t, self.tg), self.row_contents[-1])
+
+    def _store(self, rows, contents):
+        """Append the rows contents[r] * rows[r] as primitive parts and their
+        contents."""
+        prim, out = [], []
+        for row, c in zip(rows, contents):
+            g = math.gcd(*(math.gcd(*poly) for poly in row))
+            if g > 1:
+                row = [[x // g for x in poly] for poly in row]
+            prim.append(row)
+            out.append(c * g)
+        self.hs.append(prim)
+        self.row_contents.append(out)
 
 
 def _step(h, s: int, t, tg, m: int | None = None):
@@ -139,8 +186,7 @@ def cleared_system(g: RatMat) -> _IntSystem:
         # positive leading coefficient d
         t = [int(c * d) for c in t0.coeffs]
         tg = [[[int(c * d) for c in poly.coeffs] for poly in row] for row in t0g]
-        h1 = [[list(c) for c in row] for row in tg]
-        sys = _IntSystem(n=g.n, t=t, tg=tg, hs=[h1])
+        sys = _IntSystem(n=g.n, t=t, tg=tg)
         _SYSTEMS[g] = sys
     return sys
 
@@ -168,16 +214,20 @@ def _good_cleared_system(g: RatMat, p: int) -> _IntSystem:
 
 def gs_sequence(g: RatMat, s_max: int) -> list[RatMat]:
     """[G_1, ..., G_s_max] with G_1 = G and G_{s+1} = G_s G + G_s', read off
-    the cleared sequence as G_s = H_s / T^s in lowest terms."""
+    the cleared sequence as G_s = H_s / T^s in lowest terms.  It steps its
+    own full block H_s from H_1 = TG: cleared_system keeps only the rows its
+    contents need."""
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     sys = cleared_system(g)
     t = Poly(sys.t)
-    ts = Poly.ONE
-    out = []
-    for s in range(1, s_max + 1):
+    ts = t
+    h = sys.tg
+    out = [RatMat([[RatFn(Poly(c), ts) for c in row] for row in h])]
+    for s in range(1, s_max):
+        h = _step(h, s, sys.t, sys.tg)
         ts = ts * t
-        out.append(RatMat([[RatFn(Poly(c), ts) for c in row] for row in sys.h(s)]))
+        out.append(RatMat([[RatFn(Poly(c), ts) for c in row] for row in h]))
     return out
 
 

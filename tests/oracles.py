@@ -31,7 +31,7 @@ from gop.exact_arith import (
     vp_fraction,
     vp_int,
 )
-from gop.growth import ExactLog, cleared_system
+from gop.growth import ExactLog, _step, cleared_system
 from gop.local_analysis import regular_series_solutions
 from gop import modp
 from gop.modp import reduce_ratfn_mod_p
@@ -141,6 +141,18 @@ def naive_gs_sequence(g: RatMat, s_max: int) -> list[RatMat]:
     while len(out) < s_max:
         out.append(out[-1] * g + out[-1].derivative())
     return out
+
+
+_POWERS: dict = {}  # cleared system -> [H_1, H_2, ...] stepped so far
+
+
+def cleared_powers(sys, s: int):
+    """The full n x n block H_s = T^s G_s of sys = cleared_system(G), stepped
+    with growth._step from H_1 = TG (every row, no contents taken out)."""
+    hs = _POWERS.setdefault(sys, [sys.tg])
+    while len(hs) < s:
+        hs.append(_step(hs[-1], len(hs), sys.t, sys.tg))
+    return hs[s - 1]
 
 
 def naive_tower(ps, g: RatMat, t, h_max: int) -> list[list[RatFn]]:

@@ -350,6 +350,16 @@ def test_radius_at_large_prime():
     assert env["result"]["rho_p_hat"]["terms"] == []
 
 
+def test_galochkin_at_the_smax_cap():
+    # only the row e_0 of gauss2f1's companion system is stepped, as a
+    # primitive part; stepping and keeping every full H_s took 5.0 s
+    argv = ["galochkin", "--catalog", "gauss2f1", "--smax", str(SMAX_MAX)]
+    [(code, has_error, seconds, env)] = _run_in_child([argv])
+    assert code == 0 and not has_error
+    assert seconds < 3
+    validate(env, load_schema("galochkin"))
+
+
 def test_polylog_weight_bounded_at_boundary():
     # the weight-150 operator alone takes longer than 20 s to build
     _assert_usage_errors([["catalog", "get", "polylog:150"],

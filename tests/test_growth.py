@@ -35,6 +35,7 @@ from gop.p_curvature import is_nilpotent, p_curvature
 from gop.errors import BadPrime
 from oracles import (
     catalog_systems,
+    cleared_powers,
     drawn_operator,
     every_catalog_system,
     exact_log_of_integer,
@@ -98,13 +99,40 @@ def test_content_valuation_equals_coefficient_minimum():
     for label, g in every_catalog_system():
         sys = cleared_system(g)
         for m in range(1, 41):
-            coeffs = [c for row in sys.h(m) for poly in row for c in poly if c]
+            coeffs = [c for row in cleared_powers(sys, m) for poly in row for c in poly if c]
             for p in primes_upto(31):
                 if not coeffs:
                     assert sys.content(m) == 0 and sys.vp(m, p) == GAUSS_INF
                     continue
                 want = min(vp_int(c, p) for c in coeffs)
                 assert vp_int(sys.content(m), p) == want == sys.vp(m, p), (label, m, p)
+
+
+def test_row_contents_give_the_block_content():
+    # c_s read off primitive rows (off e_0 at s..s+n-1 on a companion-shape
+    # G) equals the gcd over every coefficient of the full block H_s
+    rng = random.Random(15)
+    companions = [(label, g) for label, g in every_catalog_system() if label.endswith(":companion")]
+    for k in range(16):
+        basis = (Basis.D, Basis.THETA)[k % 2]
+        companions.append((f"drawn:{basis.value}:{k}", companion(drawn_operator(rng, basis))))
+    d2 = companion(parse_operator("D^2"))
+    assert d2 == RatMat([[0, 1], [0, 0]]) and not any(any(row) for row in cleared_powers(cleared_system(d2), 2))
+    order3 = companion(parse_operator("(3*z-1)^2*D^3 + z*D + 5/7"))
+    assert math.gcd(*cleared_system(order3).t) > 1
+    companions += [("D^2", d2), ("order3", order3)]
+    swap = RatMat([[0, 2], [1, 0]])
+    for label, g in every_catalog_system() + companions + [("swap", swap)]:
+        sys = cleared_system(g)
+        for s in range(1, 61):
+            want = math.gcd(*(c for row in cleared_powers(sys, s) for poly in row for c in poly))
+            assert sys.content(s) == want, (label, s)
+            for p in primes_upto(31):
+                assert sys.vp(s, p) == (vp_int(want, p) if want else GAUSS_INF), (label, s, p)
+    # the route: one stepped row on companion shape, every row otherwise
+    for label, g in companions:
+        assert all(len(rows) == 1 for rows in cleared_system(g).hs), label
+    assert [len(rows) for rows in cleared_system(swap).hs] == [2] * 60
 
 
 def test_bombieri_valuation_calls_bounded(monkeypatch):
@@ -245,7 +273,7 @@ def test_modular_engine_matches_integers_at_large_modulus(monkeypatch):
             int64 = m < 2**31 - 1 or (m == 2**31 - 1 and terms == 2)
             want = []
             for s in range(1, 31):
-                want.append([[[c % m for c in poly] for poly in row] for row in sys.h(s)])
+                want.append([[[c % m for c in poly] for poly in row] for row in cleared_powers(sys, s)])
                 for row in want[-1]:
                     for poly in row:
                         while poly and poly[-1] == 0:
