@@ -117,7 +117,8 @@ def test_row_contents_give_the_block_content():
         basis = (Basis.D, Basis.THETA)[k % 2]
         companions.append((f"drawn:{basis.value}:{k}", companion(drawn_operator(rng, basis))))
     d2 = companion(parse_operator("D^2"))
-    assert d2 == RatMat([[0, 1], [0, 0]]) and not any(any(row) for row in cleared_powers(cleared_system(d2), 2))
+    assert d2 == RatMat([[0, 1], [0, 0]])
+    assert not any(any(row) for row in cleared_powers(cleared_system(d2), 2))
     order3 = companion(parse_operator("(3*z-1)^2*D^3 + z*D + 5/7"))
     assert math.gcd(*cleared_system(order3).t) > 1
     companions += [("D^2", d2), ("order3", order3)]
@@ -132,7 +133,7 @@ def test_row_contents_give_the_block_content():
     # the route: one stepped row on companion shape, every row otherwise
     for label, g in companions:
         assert all(len(rows) == 1 for rows in cleared_system(g).hs), label
-    assert [len(rows) for rows in cleared_system(swap).hs] == [2] * 60
+    assert all(len(rows) == 2 for rows in cleared_system(swap).hs)
 
 
 def test_bombieri_valuation_calls_bounded(monkeypatch):
