@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple, Optional, Sequence
 
 from .diffop import Basis, DiffOp, RatMat, TruncatedSeries, op_mul, op_pow, op_sub
@@ -170,60 +171,67 @@ def _polylog_entry(s: int, entry_id: Optional[str] = None) -> CatalogEntry:
     )
 
 
-def _entries() -> list[CatalogEntry]:
-    out = [_polylog_entry(1), _polylog_entry(2)]
-    out.append(
-        CatalogEntry(
-            id="gauss2f1",
-            description="hypergeometric operator with parameters 1/2, 1/2; 1",
-            operator=hypergeom_operator([Fraction(1, 2), Fraction(1, 2)], [Fraction(1)]),
-            system=None,
-            components=(),
-            solution=hypergeom_series([Fraction(1, 2), Fraction(1, 2)], [Fraction(1)]),
-            ordinary_point=Fraction(1, 2),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            id="theta2m2",
-            description="theta^2 - 2, regular everywhere with irrational exponents",
-            operator=counterexample_theta2_minus_2(),
-            system=None,
-            components=(),
-            solution=None,
-            ordinary_point=Fraction(1),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            id="d-minus-1",
-            description="D - 1, exponential growth with an irregular point at infinity",
-            operator=DiffOp(Basis.D, [-1, 1]),
-            system=RatMat([[1]]),
-            components=(CoeffGenerator("reciprocal_factorial"),),
-            solution=CoeffGenerator("reciprocal_factorial"),
-            ordinary_point=Fraction(0),
-        )
-    )
-    out.append(
-        CatalogEntry(
-            id="order1-half",
-            description="first-order operator with residue 1/2 at z = 1",
-            operator=order1_g_operator([Fraction(1, 2)], [Fraction(1)]),
-            system=None,
-            components=(),
-            solution=CoeffGenerator("sqrt_one_minus_z"),
-            ordinary_point=Fraction(0),
-        )
-    )
-    return out
+# builders of the named entries, in catalog order; each entry is built on
+# first use, so a command that looks up one entry builds only that one
+_NAMED = {
+    "polylog:1": lambda: _polylog_entry(1),
+    "polylog:2": lambda: _polylog_entry(2),
+    "gauss2f1": lambda: CatalogEntry(
+        id="gauss2f1",
+        description="hypergeometric operator with parameters 1/2, 1/2; 1",
+        operator=hypergeom_operator([Fraction(1, 2), Fraction(1, 2)], [Fraction(1)]),
+        system=None,
+        components=(),
+        solution=hypergeom_series([Fraction(1, 2), Fraction(1, 2)], [Fraction(1)]),
+        ordinary_point=Fraction(1, 2),
+    ),
+    "theta2m2": lambda: CatalogEntry(
+        id="theta2m2",
+        description="theta^2 - 2, regular everywhere with irrational exponents",
+        operator=counterexample_theta2_minus_2(),
+        system=None,
+        components=(),
+        solution=None,
+        ordinary_point=Fraction(1),
+    ),
+    "d-minus-1": lambda: CatalogEntry(
+        id="d-minus-1",
+        description="D - 1, exponential growth with an irregular point at infinity",
+        operator=DiffOp(Basis.D, [-1, 1]),
+        system=RatMat([[1]]),
+        components=(CoeffGenerator("reciprocal_factorial"),),
+        solution=CoeffGenerator("reciprocal_factorial"),
+        ordinary_point=Fraction(0),
+    ),
+    "order1-half": lambda: CatalogEntry(
+        id="order1-half",
+        description="first-order operator with residue 1/2 at z = 1",
+        operator=order1_g_operator([Fraction(1, 2)], [Fraction(1)]),
+        system=None,
+        components=(),
+        solution=CoeffGenerator("sqrt_one_minus_z"),
+        ordinary_point=Fraction(0),
+    ),
+}
 
 
-CATALOG: dict[str, CatalogEntry] = {e.id: e for e in _entries()}
+@cache
+def _named_entry(entry_id: str) -> CatalogEntry:
+    return _NAMED[entry_id]()
+
+
+def __getattr__(name: str):
+    """CATALOG, the dict id -> entry of every named entry, built on first
+    access (PEP 562); only `catalog list` and the tests read it."""
+    if name == "CATALOG":
+        global CATALOG
+        CATALOG = {entry_id: _named_entry(entry_id) for entry_id in _NAMED}
+        return CATALOG
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def catalog_ids() -> list[str]:
-    return list(CATALOG)
+    return list(_NAMED)
 
 
 # the largest weight catalog_get builds for "polylog:<s>": the operator comes
@@ -233,8 +241,8 @@ POLYLOG_MAX_WEIGHT = 30
 
 
 def catalog_get(entry_id: str) -> CatalogEntry:
-    if entry_id in CATALOG:
-        return CATALOG[entry_id]
+    if entry_id in _NAMED:
+        return _named_entry(entry_id)
     if entry_id.startswith("polylog:"):
         s = int(entry_id.split(":", 1)[1])
         if s > POLYLOG_MAX_WEIGHT:

@@ -15,6 +15,12 @@ intended non-commutative semantics.  "/" needs both operands of order <= 0
 and divides their rational functions; D - D is the zero operator, so
 2/(D-D) is a division by zero.  Mixing D and theta is an error.  A result of
 order <= 0 takes the basis the expression names, D when it names none.
+
+A layer loads on first use.  `errors`, `exact_arith` and `diffop`, which the
+parser needs, load with the package; `catalog`, `growth`, `local_analysis`,
+`p_curvature` and `pade` are bound here as lazy modules, and each command
+looks their functions up when it runs (`growth.galochkin_trace(...)`), so a
+`gop` child compiles and runs only the layers its command reaches.
 """
 
 from __future__ import annotations
@@ -22,14 +28,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
-from . import __version__
-from .catalog import CATALOG, CatalogEntry, catalog_get, catalog_ids
+from . import __version__, catalog, growth, local_analysis, p_curvature, pade
 from .diffop import (
     Basis,
     DiffOp,
@@ -53,18 +59,6 @@ from .exact_arith import (
     poly_text,
     primes_upto,
 )
-from .growth import (
-    ExactLog,
-    GalochkinTrace,
-    SizeRadiusReport,
-    bombieri_report,
-    galochkin_trace,
-    radius_estimate,
-    size_estimate,
-)
-from .local_analysis import IndicialData, OperatorProfile, classify_operator, exponents
-from .p_curvature import GlobalScan, global_scan, prime_report
-from .pade import build_pade_system, pade_type2, residual_order, siegel_bound_report
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +232,7 @@ def poly_json(p: Poly) -> dict:
     return {"coeffs": [frac_str(c) for c in p.coeffs], "text": poly_text(p, "x")}
 
 
-def exactlog_json(v: ExactLog) -> dict:
+def exactlog_json(v: growth.ExactLog) -> dict:
     return {
         "terms": [[p, frac_str(e)] for p, e in v.terms.items()],
         "decimal": dec15(v.to_float()),
@@ -253,7 +247,7 @@ def location_json(loc) -> object:
     return frac_str(loc)
 
 
-def indicial_json(data: IndicialData) -> dict:
+def indicial_json(data: local_analysis.IndicialData) -> dict:
     return {
         "location": location_json(data.point.location),
         "regular": data.point.regular,
@@ -265,7 +259,7 @@ def indicial_json(data: IndicialData) -> dict:
     }
 
 
-def profile_json(profile: OperatorProfile) -> dict:
+def profile_json(profile: local_analysis.OperatorProfile) -> dict:
     return {
         "operator": operator_text(profile.operator),
         "order": profile.operator.order,
@@ -277,7 +271,7 @@ def profile_json(profile: OperatorProfile) -> dict:
     }
 
 
-def scan_json(scan: GlobalScan) -> dict:
+def scan_json(scan: p_curvature.GlobalScan) -> dict:
     return {
         "subject": scan.subject,
         "primes": list(scan.primes),
@@ -295,7 +289,7 @@ def scan_json(scan: GlobalScan) -> dict:
     }
 
 
-def trace_json(trace: GalochkinTrace) -> dict:
+def trace_json(trace: growth.GalochkinTrace) -> dict:
     return {
         "T": poly_json(trace.T) | {"text": poly_text(trace.T, "z")},
         "s": list(trace.s_values),
@@ -304,7 +298,7 @@ def trace_json(trace: GalochkinTrace) -> dict:
     }
 
 
-def bombieri_json(rep: SizeRadiusReport) -> dict:
+def bombieri_json(rep: growth.SizeRadiusReport) -> dict:
     return {
         "n": rep.n,
         "s": rep.s_max,
@@ -347,13 +341,18 @@ SCAN_PRIME_MAX = 1000
 # galochkin and radius run smax integer steps of the rows of H_s, kept as
 # primitive parts, only the row e_0 on a companion system: galochkin on
 # polylog:3's 4 x 4 chain system at smax 500 took 1.6 s and 113 MB peak RSS,
-# on gauss2f1 0.8-0.95 s and 65 MB.  The bound is on s alone, and the order n
-# multiplies the cost: galochkin on polylog:10 at smax 300 took 4.4 s, 376 MB
+# on gauss2f1 0.8-0.95 s and 65 MB
 SMAX_MAX = 500
 # size and bombieri run s of those steps and then read each prime p <= s off
 # every content c_m: bombieri on polylog:3 at s 500 took 1.9 s and 113 MB
 # peak RSS, on gauss2f1 1.2-1.5 s and 65 MB
 S_MAX = 500
+# each of those steps costs more with the system dimension n, so all four
+# commands also bound n·s: at n·s near the bound, each of them on polylog:3,
+# 5, 10, 20 and 30 took 1.6-2.4 s and at most 120 MB peak RSS (polylog:30's
+# entry alone takes 1.4 s to build); galochkin on polylog:10 at smax 300, n·s
+# 3300, took 5.7 s and 376 MB
+GROWTH_NS_MAX = 2000
 # pade solves n·M order conditions in N + 1 unknowns over Q, n the system
 # dimension: polylog:3 at N 200 took 0.5-0.7 s with M 6 and 3.6-4.7 s with
 # M 20, most of it in that solve
@@ -388,13 +387,17 @@ def _check_at_most(name: str, value: int, most: int) -> None:
         raise UsageError(f"{name} must be <= {most}, got {value}")
 
 
-def _catalog_entry(entry_id: Optional[str]) -> CatalogEntry:
+def _check_growth_work(flag: str, s: int, g: RatMat) -> None:
+    _check_at_most(f"{flag} times the system dimension {g.n}", g.n * s, GROWTH_NS_MAX)
+
+
+def _catalog_entry(entry_id: Optional[str]) -> catalog.CatalogEntry:
     if not entry_id:
         raise UsageError("need a catalog id")
     try:
-        return catalog_get(entry_id)
+        return catalog.catalog_get(entry_id)
     except KeyError as exc:
-        known = ", ".join(catalog_ids() + ["polylog:<s>"])
+        known = ", ".join(catalog.catalog_ids() + ["polylog:<s>"])
         raise UsageError(f"unknown catalog id {entry_id!r}; known: {known}") from exc
     except ValueError as exc:
         raise UsageError(f"bad catalog id {entry_id!r}: {exc}") from exc
@@ -460,13 +463,13 @@ def _load_series_file(path: str) -> list[TruncatedSeries]:
 
 def _cmd_classify(args) -> dict:
     label, op = _resolve_operator(args)
-    return {"input": label, "profile": profile_json(classify_operator(op))}
+    return {"input": label, "profile": profile_json(local_analysis.classify_operator(op))}
 
 
 def _cmd_exponents(args) -> dict:
     label, op = _resolve_operator(args)
     point = _parse_point(args.point)
-    rationals, leftovers = exponents(op, point)
+    rationals, leftovers = local_analysis.exponents(op, point)
     return {
         "input": label,
         "point": "inf" if is_infinity(point) else frac_str(point),
@@ -480,7 +483,7 @@ def _cmd_pcurv(args) -> dict:
     _check_prime(args.prime)
     _check_at_most("--prime", args.prime, PCURV_PRIME_MAX)
     label, op = _resolve_operator(args)
-    report = prime_report(op, args.prime)
+    report = p_curvature.prime_report(op, args.prime)
     return {
         "input": label,
         "prime": args.prime,
@@ -495,10 +498,10 @@ def _cmd_scan(args) -> dict:
     if getattr(args, "catalog", None):
         entry = _catalog_entry(args.catalog)
         subject = entry.operator if entry.system is None else entry.system
-        scan = global_scan(subject, primes, subject_id=entry.id)
+        scan = p_curvature.global_scan(subject, primes, subject_id=entry.id)
     else:
         label, op = _resolve_operator(args)
-        scan = global_scan(op, primes, subject_id=label)
+        scan = p_curvature.global_scan(op, primes, subject_id=label)
     return scan_json(scan)
 
 
@@ -506,7 +509,8 @@ def _cmd_galochkin(args) -> dict:
     _check_at_least("--smax", args.smax, 1)
     _check_at_most("--smax", args.smax, SMAX_MAX)
     label, g = _resolve_system(args)
-    trace = galochkin_trace(g, args.smax)
+    _check_growth_work("--smax", args.smax, g)
+    trace = growth.galochkin_trace(g, args.smax)
     return {"input": label} | trace_json(trace)
 
 
@@ -514,7 +518,8 @@ def _cmd_size(args) -> dict:
     _check_at_least("--s", args.s, 1)
     _check_at_most("--s", args.s, S_MAX)
     label, g = _resolve_system(args)
-    value = size_estimate(g, args.s, args.prime_bound)
+    _check_growth_work("--s", args.s, g)
+    value = growth.size_estimate(g, args.s, args.prime_bound)
     return {
         "input": label,
         "s": args.s,
@@ -529,7 +534,8 @@ def _cmd_radius(args) -> dict:
     # the Hadamard window starts at the system order
     _check_at_least("--smax", args.smax, g.n)
     _check_at_most("--smax", args.smax, SMAX_MAX)
-    value = radius_estimate(g, args.prime, args.smax)
+    _check_growth_work("--smax", args.smax, g)
+    value = growth.radius_estimate(g, args.prime, args.smax)
     return {
         "input": label,
         "prime": args.prime,
@@ -544,7 +550,8 @@ def _cmd_bombieri(args) -> dict:
     if not math.isfinite(args.slack):
         raise UsageError(f"--slack must be a finite number, got {args.slack}")
     label, g = _resolve_system(args)
-    rep = bombieri_report(g, args.s, args.prime_bound, slack=args.slack)
+    _check_growth_work("--s", args.s, g)
+    rep = growth.bombieri_report(g, args.s, args.prime_bound, slack=args.slack)
     return {"input": label} | bombieri_json(rep)
 
 
@@ -555,8 +562,8 @@ def _cmd_pade(args) -> dict:
     _check_at_most("--M", args.M, PADE_M_MAX)
     if args.series:
         f = _load_series_file(args.series)
-        q, ps = pade_type2(f, args.N, args.M)
-        res = residual_order(q, ps, f)
+        q, ps = pade.pade_type2(f, args.N, args.M)
+        res = pade.residual_order(q, ps, f)
         return {
             "input": args.series,
             "N": args.N,
@@ -564,14 +571,14 @@ def _cmd_pade(args) -> dict:
             "Q": poly_json(q) | {"text": poly_text(q, "z")},
             "P": [poly_json(p) | {"text": poly_text(p, "z")} for p in ps],
             "residual_order": res,
-            "siegel": _siegel_json(siegel_bound_report(f, args.N, args.M)),
+            "siegel": _siegel_json(pade.siegel_bound_report(f, args.N, args.M)),
         }
     entry = _catalog_entry(args.catalog) if args.catalog else None
     if entry is None or entry.system is None:
         raise UsageError("pade needs --series FILE or a --catalog entry with a system")
     order = args.N + args.M + 8
     f = [gen.series(order) for gen in entry.components]
-    system = build_pade_system(f, entry.system, args.N, args.M)
+    system = pade.build_pade_system(f, entry.system, args.N, args.M)
     return {
         "input": entry.id,
         "N": system.big_n,
@@ -609,7 +616,7 @@ def _cmd_catalog(args) -> dict:
                     "order": e.operator.order,
                     "has_system": e.system is not None,
                 }
-                for e in CATALOG.values()
+                for e in catalog.CATALOG.values()
             ]
         }
     entry = _catalog_entry(args.id)
@@ -762,7 +769,16 @@ def _error_envelope(command: str, exc: Exception) -> dict:
 
 
 def main(argv=None) -> int:
-    code, _ = run_command(sys.argv[1:] if argv is None else argv, emit=print)
+    """Run one command and print its envelope; returns the exit code, or 1
+    when stdout is closed before the envelope is written (`gop ... | head`)."""
+    try:
+        code, _ = run_command(sys.argv[1:] if argv is None else argv, emit=print)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; pointed at devnull, that flush
+        # cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -1,13 +1,19 @@
 """The traced benchmark names `gop` functions from outside the package;
-each name must still resolve, or `bench/run.py --trace 1` breaks."""
+each name must still resolve, and the traced child must wrap functions of
+layers that load lazily, or `bench/run.py --trace 1` breaks."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS_PATH = ROOT / "bench" / "spans.py"
 
 
 def _load_spans():
@@ -27,3 +33,17 @@ def test_traced_name_resolves(name):
     for attr in path:
         owner = getattr(owner, attr)
     assert callable(owner)
+
+
+@pytest.mark.parametrize("argv, span", [
+    (["scan", "--catalog", "polylog:2", "--primes", "2..5"], "p_curvature.is_nilpotent"),
+    (["galochkin", "--catalog", "gauss2f1", "--smax", "10"], "growth.galochkin_trace"),
+    (["catalog", "list"], "cli.main"),
+])
+def test_traced_child_records_spans(tmp_path, argv, span):
+    out = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.run([sys.executable, str(SPANS_PATH), str(out), *argv],
+                           capture_output=True, text=True, timeout=60, env=env)
+    assert child.returncode == 0, child.stderr
+    assert span in {name for name, *_ in json.loads(out.read_text())["spans"]}

@@ -15,6 +15,7 @@ from jsonschema import validate
 import gop
 from gop.catalog import CATALOG, hypergeom_operator
 from gop.cli import (
+    GROWTH_NS_MAX,
     PADE_M_MAX,
     PADE_N_MAX,
     PCURV_PRIME_MAX,
@@ -360,6 +361,22 @@ def test_galochkin_at_the_smax_cap():
     validate(env, load_schema("galochkin"))
 
 
+def test_growth_work_bounded_by_dimension_times_s():
+    # every step of H_s costs more with the system dimension n (11 for
+    # polylog:10), so s alone bounds too little: galochkin on polylog:10 at
+    # smax 300 took 5.7 s and 376 MB
+    s = GROWTH_NS_MAX // 11
+    [(code, has_error, seconds, env)] = _run_in_child([["galochkin", "--catalog", "polylog:10", "--smax", str(s)]])
+    assert code == 0 and not has_error
+    assert seconds < 5
+    _assert_usage_errors([
+        ["galochkin", "--catalog", "polylog:10", "--smax", str(s + 1)],
+        ["radius", "--catalog", "polylog:10", "--prime", "3", "--smax", str(s + 1)],
+        ["size", "--catalog", "polylog:10", "--s", str(s + 1), "--prime-bound", "5"],
+        ["bombieri", "--catalog", "polylog:10", "--s", str(s + 1), "--prime-bound", "5"],
+    ])
+
+
 def test_polylog_weight_bounded_at_boundary():
     # the weight-150 operator alone takes longer than 20 s to build
     _assert_usage_errors([["catalog", "get", "polylog:150"],
@@ -423,3 +440,45 @@ def test_numpy_loaded_only_by_the_mod_p_engine():
         "    print('numpy' in sys.modules)\n"
     )
     assert _child_stdout(script).split() == ["False", "False", "False", "True"]
+
+
+LAZY_LAYERS = ("catalog", "growth", "modp", "local_analysis", "p_curvature", "pade")
+
+
+def _layers_loaded(script, *args):
+    """The lazy layers a fresh interpreter has loaded after running script:
+    a lazy module's type is ModuleType once its source has run."""
+    probe = f"import sys, types\nprint(*[n for n in {LAZY_LAYERS!r} if type(sys.modules['gop.' + n]) is types.ModuleType])\n"
+    return set(_child_stdout(script + "\n" + probe, *args).split())
+
+
+def _layers_loaded_by(*argv):
+    script = "import json, sys\nfrom gop.cli import run_command\nassert run_command(json.loads(sys.argv[1]))[0] == 0\n"
+    return _layers_loaded(script, json.dumps(argv))
+
+
+def test_each_command_loads_only_the_layers_it_runs():
+    assert _layers_loaded("import gop") == set()
+    assert _layers_loaded("import gop.cli") == set()
+    assert _layers_loaded_by("catalog", "list") == {"catalog"}
+    assert not _layers_loaded_by("classify", "theta*(theta-1/2) - z*(theta+1/3)*(theta+1/4)") & {
+        "catalog", "p_curvature", "pade"}
+    assert not _layers_loaded_by("galochkin", "--catalog", "gauss2f1") & {
+        "modp", "local_analysis", "p_curvature", "pade"}
+    assert not _layers_loaded_by("pade", "--catalog", "polylog:2", "--N", "12", "--M", "4") & {
+        "p_curvature", "local_analysis"}
+
+
+def test_closed_stdout_ends_quietly():
+    # `gop catalog list | head -c 10`: the reader is gone before the envelope
+    # is written, and the child exits 1 with nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(gop.__file__).parents[1]))
+    try:
+        child = subprocess.run([sys.executable, "-m", "gop.cli", "catalog", "list"], stdout=write_end,
+                               stderr=subprocess.PIPE, timeout=60, env=env)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert child.stderr == b""

@@ -1,10 +1,13 @@
 """The public surface of `gop`: every public module-level name in
 src/gop/*.py is used inside the package, or is one of the paper-identity
-checks listed below; and no module imports a name it never uses.
+checks listed below; no module imports a name it never uses; and every name
+the package re-exports is its layer's own object.
 Reference implementations that only tests need live in tests/oracles.py."""
 
 import ast
 from pathlib import Path
+
+import gop
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gop"
 
@@ -72,9 +75,23 @@ def _imports(tree: ast.Module):
                 yield alias.name, None, (alias.asname or alias.name).split(".")[0]
 
 
+def _reached(tree: ast.Module):
+    """(source module, name) for every name tree imports from a module, or
+    reads off a layer it binds with `from . import layer` (`growth.h_s_p`)."""
+    layers = {}
+    for source, name, bound in _imports(tree):
+        if source == "" and name is not None:
+            layers[bound] = name
+        else:
+            yield source, name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in layers:
+            yield layers[node.value.id], node.attr
+
+
 def test_every_public_name_is_used_in_src():
     modules = _modules()
-    imported = {(source, name) for tree in modules.values() for source, name, _ in _imports(tree)}
+    imported = {pair for tree in modules.values() for pair in _reached(tree)}
     unused = []
     for module, tree in modules.items():
         for name, node in _definitions(tree).items():
@@ -89,7 +106,7 @@ def test_paper_identities_exist_and_are_not_used_in_src():
     modules = _modules()
     defined = {name for tree in modules.values() for name in _definitions(tree)}
     assert set(PAPER_IDENTITIES) <= defined
-    imported = {name for tree in modules.values() for _, name, _ in _imports(tree)}
+    imported = {name for tree in modules.values() for _, name in _reached(tree)}
     # an allow-list entry that src itself reaches no longer needs to be here
     assert not set(PAPER_IDENTITIES) & imported
 
@@ -102,3 +119,13 @@ def test_no_unused_imports():
             if bound not in used:
                 unused.append(f"{module}: {bound}")
     assert not unused, f"imports never used: {unused}"
+
+
+def test_reexports_are_the_layers_own_objects():
+    # gop resolves each name of its re-export table on first access; a name
+    # that shadowed a layer would hide that layer from `from . import layer`
+    assert not set(gop._EXPORTS) & {name for names in gop._EXPORTS.values() for name in names}
+    for layer, names in gop._EXPORTS.items():
+        module = getattr(gop, layer)
+        for name in names:
+            assert getattr(gop, name) is getattr(module, name), f"{layer}.{name}"
