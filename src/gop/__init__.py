@@ -69,7 +69,6 @@ _EXPORTS = {
         "RatFn",
         "accolade",
         "gauss_valuation",
-        "kummer_vp_factorial",
     ),
     "growth": (
         "ExactLog",

@@ -340,12 +340,12 @@ PCURV_PRIME_MAX = 2000
 SCAN_PRIME_MAX = 1000
 # galochkin and radius run smax integer steps of the rows of H_s, kept as
 # primitive parts, only the row e_0 on a companion system: galochkin on
-# polylog:3's 4 x 4 chain system at smax 500 took 1.6 s and 113 MB peak RSS,
-# on gauss2f1 0.8-0.95 s and 65 MB
+# polylog:3's 4 x 4 chain system at smax 500 took 1.0-1.15 s and 113 MB peak
+# RSS, on gauss2f1 0.6-0.7 s and 65 MB
 SMAX_MAX = 500
 # size and bombieri run s of those steps and then read each prime p <= s off
-# every content c_m: bombieri on polylog:3 at s 500 took 1.9 s and 113 MB
-# peak RSS, on gauss2f1 1.2-1.5 s and 65 MB
+# q_s and r_s, one valuation each: each of them on polylog:3 at s 500 took
+# 1.0-1.3 s and 112 MB peak RSS, on gauss2f1 0.6-0.7 s and 65 MB
 S_MAX = 500
 # each of those steps costs more with the system dimension n, so all four
 # commands also bound n·s: at n·s near the bound, each of them on polylog:3,

@@ -49,21 +49,6 @@ def vp_fraction(q: Fraction, p: int) -> int:
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
-def digit_sum_base(n: int, p: int) -> int:
-    s = 0
-    while n:
-        s += n % p
-        n //= p
-    return s
-
-
-def kummer_vp_factorial(n: int, p: int) -> int:
-    """v_p(n!) computed from the base-p digit sum of n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return (n - digit_sum_base(n, p)) // (p - 1)
-
-
 def accolade(s: int, m: int, p: int) -> int:
     """Valuation of the largest inverse p-part of a product of m distinct
     integers in 1..s: returns -(sum of the m largest v_p values).

@@ -5,26 +5,31 @@ which satisfies the polynomial recurrence
 
     H_{s+1} = H_s (TG) + T H_s' - s T' H_s,
 
-stays integer once T is normalized integer-primitive, and shares Gauss
-valuations with G_s (v(G_s) = v(H_s) because T has unit content at every
-prime).  _step is the one implementation of this step, over Z and, given
-a modulus, over Z/m: gs_sequence reads G_s = H_s / T^s off it,
-pade.derived_tower runs it on a row vector with TG replaced by -(TG)^T, the
-p-adic quantities below read the contents of its H_s, and
-modp.ClearedSequenceMod runs it mod m until numpy pays for itself.
+and stays integer for the integer T of cleared_system.  _step is the one
+implementation of this step, over Z and, given a modulus, over Z/m:
+gs_sequence reads G_s = H_s / T^s off it, pade.derived_tower runs it on a
+row vector with TG replaced by -(TG)^T, the p-adic quantities below read the
+contents of its H_s, and modp.ClearedSequenceMod runs it mod m until numpy
+pays for itself.
 
-Every p-adic quantity reads the integer content c_m = gcd of the
-coefficients of H_m, once per m for all primes: min v_p(H_m) = v_p(c_m), and
-lcm over coefficients c of m!/gcd(m!, c) equals m!/gcd(m!, c_m).  c_m is
-read off the rows of H_m, never off the full block.  _step is Z-linear and
-maps each row e_r H_s to e_r H_(s+1), so a row c K with K primitive steps to
-c _step(K): each row is stepped as its primitive part, the content of a row
-at s divides its content at s+1, and c_m is the gcd of the row contents.
-When G has companion shape (rows 0..n-2 of TG are T e_1, ..., T e_(n-1),
-as for every companion(L)), e_i G_s = e_0 G_(s+i), so
+Every p-adic quantity is read off H_s, for all primes at once, through two
+integers per s: r_s = s!/gcd(s!, c_s), c_s the content of H_s, and the
+Galochkin denominator q_s = lcm(r_1, ..., r_s).  As
+v_p(r_s) = max(0, v_p(s!) - v_p(c_s)), h(s, p) = v_p(q_s), each Hadamard
+term is v_p(r_s)/s and the Dwork-Robba left side, cut at 0, is -v_p(r_s).
+v(H_s) = s v(T) + v(G_s) for the Gauss valuation v at p, and content(T) is
+not 1 in general (4 for gauss2f1's companion), so these are the quantities
+of G_s only at the primes where G reduces (_is_bad); at the others they are
+those of T^s G_s (2D - 1 gets the radius of D - 1 at p = 2).
+c_s is read off the rows of H_s, never off the full block.
+_step is Z-linear and maps each row e_r H_s to e_r H_(s+1), so a row c K
+with K primitive steps to c _step(K): each row is stepped as its primitive
+part, the content of a row at s divides its content at s+1, and c_s is the
+gcd of the row contents.  When G has companion shape (rows 0..n-2 of TG are
+T e_1, ..., T e_(n-1), as for every companion(L)), e_i G_s = e_0 G_(s+i), so
 T^i e_i H_s = e_0 H_(s+i) and, by Gauss's lemma,
 content(e_i H_s) = content(e_0 H_(s+i)) / content(T)^i: only the row e_0 is
-stepped, and c_m is read off it at m, ..., m+n-1.  p_curvature reads the
+stepped, and c_s is read off it at s, ..., s+n-1.  p_curvature reads the
 rows of H_p mod p off the same row by the same identity.
 
 Logarithmic quantities are carried as exact {prime: exponent} combinations
@@ -39,24 +44,15 @@ from typing import NamedTuple
 
 from .diffop import RatMat
 from .errors import BadPrime
-from .exact_arith import (
-    GAUSS_INF,
-    Poly,
-    RatFn,
-    accolade,
-    as_ratfn,
-    kummer_vp_factorial,
-    poly_lcm,
-    primes_upto,
-    vp_int,
-)
+from .exact_arith import Poly, RatFn, accolade, as_ratfn, poly_lcm, primes_upto, vp_int
 from . import modp
 
 
 class _IntSystem:
     """Integer cleared form (T, TG) of a system, plus the rows of H_s it has
-    stepped, each stored as a primitive part and a content, and the contents
-    c_s of H_s read off them.
+    stepped, each stored as a primitive part and a content, the contents c_s
+    of H_s read off them, and the two integers every p-adic quantity reads:
+    r_s = s!/gcd(s!, c_s) and q_s = lcm(r_1, ..., r_s).
 
     On a companion-shape G only the row e_0 is stepped, and c_s is read off
     e_0 at s, ..., s+n-1; otherwise every row is.  hs[s-1] is the block of
@@ -74,6 +70,9 @@ class _IntSystem:
         self.hs: list = []  # hs[s-1] = the stepped primitive rows at s
         self.row_contents: list[list[int]] = []  # their contents, row by row
         self.contents: list[int] = []  # c_s = gcd of H_s's coefficients
+        self.rs: list[int] = []  # r_s = s!/gcd(s!, c_s)
+        self.qs: list[int] = []  # q_s = lcm(r_1, ..., r_s)
+        self._factorial = 1  # s! for s = len(contents)
         # content(T)^i, the factor between e_i H_s and e_0 H_(s+i)
         self.t_powers = [math.gcd(*t) ** i for i in range(n)]
         rows = tg[:1] if self.companion_shape else tg
@@ -94,12 +93,21 @@ class _IntSystem:
                 self._reach(m + 1)
                 c = math.gcd(*self.row_contents[m])
             self.contents.append(c)
+            self._factorial *= m + 1
+            r = self._factorial // math.gcd(self._factorial, c)
+            self.rs.append(r)
+            self.qs.append(math.lcm(self.qs[-1], r) if self.qs else r)
         return self.contents[s - 1]
 
-    def vp(self, s: int, p: int):
-        """min v_p over the coefficients of H_s; GAUSS_INF when H_s vanishes."""
-        c = self.content(s)
-        return vp_int(c, p) if c else GAUSS_INF
+    def r(self, s: int) -> int:
+        """r_s, the least positive integer clearing H_s / s!."""
+        self.content(s)
+        return self.rs[s - 1]
+
+    def q(self, s: int) -> int:
+        """q_s, the least positive integer clearing H_m / m! for m <= s."""
+        self.content(s)
+        return self.qs[s - 1]
 
     def _reach(self, s: int):
         """Step the stored rows up to index s: the row c K, K primitive,
@@ -308,16 +316,10 @@ def galochkin_trace(g: RatMat, s_max: int) -> GalochkinTrace:
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     sys = cleared_system(g)
-    q = 1
-    qs, logs = [], []
-    fact = 1
-    for m in range(1, s_max + 1):
-        fact *= m
-        q = math.lcm(q, fact // math.gcd(fact, sys.content(m)))
-        qs.append(q)
-        logs.append(math.log(q) / m if q > 1 else 0.0)
+    qs = tuple(sys.q(s) for s in range(1, s_max + 1))
+    logs = tuple(math.log(q) / s if q > 1 else 0.0 for s, q in enumerate(qs, 1))
     return GalochkinTrace(
-        T=Poly(sys.t), s_values=tuple(range(1, s_max + 1)), q=tuple(qs), log_q_over_s=tuple(logs)
+        T=Poly(sys.t), s_values=tuple(range(1, s_max + 1)), q=qs, log_q_over_s=logs
     )
 
 
@@ -326,15 +328,9 @@ def galochkin_trace(g: RatMat, s_max: int) -> GalochkinTrace:
 
 
 def h_s_p(g: RatMat, s: int, p: int) -> ExactLog:
-    """sup over m <= s of log+ |G_m/m!| at p, exact: the exponent is
-    max(0, max_m (v_p(m!) - min v_p(H_m)))."""
-    sys = cleared_system(g)
-    e = 0
-    for m in range(1, s + 1):
-        mv = sys.vp(m, p)
-        if mv == GAUSS_INF:
-            continue
-        e = max(e, kummer_vp_factorial(m, p) - mv)
+    """sup over m <= s of log+ |H_m/m!| at p, exact: the exponent
+    max(0, max_m (v_p(m!) - v_p(c_m))) = v_p(q_s)."""
+    e = vp_int(cleared_system(g).q(s), p)
     return ExactLog.single(p, e) if e else ExactLog.zero()
 
 
@@ -356,7 +352,8 @@ def radius_estimate(
     g: RatMat, p: int, s_max: int, s_min: int | None = None
 ) -> ExactLog:
     """Truncated Hadamard estimate of the inverse generic radius at p:
-    log+ (1/R_hat) with R_hat = min over the window of |G_s/s!|^(-1/s).
+    log+ (1/R_hat) with R_hat = min over the window of |H_s/s!|^(-1/s), that
+    is log p times the window maximum of v_p(r_s)/s.
 
     The default window is [n, s_max].  The window floor matters: early terms
     can sit far above the eventual liminf, so report-level consumers pass a
@@ -366,14 +363,7 @@ def radius_estimate(
     lo = sys.n if s_min is None else max(1, s_min)
     if s_max < lo:
         raise ValueError("window is empty")
-    best = Fraction(0)
-    for s in range(lo, s_max + 1):
-        mv = sys.vp(s, p)
-        if mv == GAUSS_INF:
-            continue
-        cand = Fraction(kummer_vp_factorial(s, p) - mv, s)
-        if cand > best:
-            best = cand
+    best = max(Fraction(vp_int(sys.r(s), p), s) for s in range(lo, s_max + 1))
     return ExactLog.single(p, best) if best else ExactLog.zero()
 
 
@@ -382,26 +372,14 @@ def dwork_robba_check(g: RatMat, p: int, s_max: int) -> list[bool]:
     v(G_s/s!) >= accolade(s, n-1, p) + min over 0 <= i <= n-1 of v(G_i),
     for s = 1..s_max (G_0 = identity).  Returns one verdict per s.
 
+    Read off H_i (module docstring), every v(G_i) is >= 0, so the minimum is
+    0; and as accolade <= 0, the left side may be cut at 0 to -v_p(r_s).
+
     Meaningful for n >= 2 systems whose fundamental solutions are analytic
     on the generic unit disk; the n = 1 bound degenerates (v(1/s!) < 0).
     """
     sys = cleared_system(g)
-    n = sys.n
-    base = 0
-    for i in range(1, n):
-        mv = sys.vp(i, p)
-        if mv != GAUSS_INF:
-            base = min(base, mv)
-    out = []
-    for s in range(1, s_max + 1):
-        mv = sys.vp(s, p)
-        if mv == GAUSS_INF:
-            out.append(True)
-            continue
-        lhs = mv - kummer_vp_factorial(s, p)
-        rhs = accolade(s, n - 1, p) + base
-        out.append(lhs >= rhs)
-    return out
+    return [-vp_int(sys.r(s), p) >= accolade(s, sys.n - 1, p) for s in range(1, s_max + 1)]
 
 
 class SizeRadiusReport(NamedTuple):

@@ -5,6 +5,7 @@ they are checked on."""
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from gop.catalog import CATALOG, order1_g_operator, polylog_operator, polylog_system
 from gop.diffop import (
@@ -24,6 +25,7 @@ from gop.exact_arith import (
     GAUSS_INF,
     Poly,
     RatFn,
+    accolade,
     as_fraction,
     falling_factorial_poly,
     gauss_valuation,
@@ -516,6 +518,71 @@ def sampled_class_phi(b, piece: Poly):
 
 # ---------------------------------------------------------------------------
 # integers, valuations and exponents
+
+
+def digit_sum_base(n: int, p: int) -> int:
+    s = 0
+    while n:
+        s += n % p
+        n //= p
+    return s
+
+
+def kummer_vp_factorial(n: int, p: int) -> int:
+    """v_p(n!) computed from the base-p digit sum of n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return (n - digit_sum_base(n, p)) // (p - 1)
+
+
+@lru_cache(maxsize=None)
+def block_content(sys, m: int) -> int:
+    """gcd of every coefficient of the full block H_m (cleared_powers)."""
+    return math.gcd(*(c for row in cleared_powers(sys, m) for poly in row for c in poly))
+
+
+def block_vp(sys, m: int, p: int):
+    """min v_p over the coefficients of H_m, read off their gcd; GAUSS_INF
+    when H_m vanishes."""
+    c = block_content(sys, m)
+    return vp_int(c, p) if c else GAUSS_INF
+
+
+def h_by_definition(sys, s_max: int, p: int) -> list[int]:
+    """[h(1, p), ..., h(s_max, p)] / log p for sys = cleared_system(G), one m
+    at a time: h(s, p) = max(0, max over m <= s of v_p(m!) - min v_p(H_m)),
+    skipping H_m = 0."""
+    out, e = [], 0
+    for m in range(1, s_max + 1):
+        v = block_vp(sys, m, p)
+        if v != GAUSS_INF:
+            e = max(e, kummer_vp_factorial(m, p) - v)
+        out.append(e)
+    return out
+
+
+def rho_by_definition(sys, p: int, lo: int, hi: int) -> Fraction:
+    """The Hadamard window maximum over lo <= s <= hi, one s at a time:
+    max(0, max of (v_p(s!) - min v_p(H_s)) / s), skipping H_s = 0."""
+    best = Fraction(0)
+    for s in range(lo, hi + 1):
+        v = block_vp(sys, s, p)
+        if v != GAUSS_INF:
+            best = max(best, Fraction(kummer_vp_factorial(s, p) - v, s))
+    return best
+
+
+def dwork_robba_by_definition(sys, p: int, s_max: int) -> list[bool]:
+    """The Dwork-Robba verdicts for s = 1..s_max, one s at a time: the left
+    side v(G_s/s!), read as min v_p(H_s) - v_p(s!) (infinite when H_s = 0),
+    against accolade(s, n-1, p) plus the minimum of v over G_0 = I, ...,
+    G_(n-1), each read as min v_p(H_i)."""
+    base = min([0] + [block_vp(sys, i, p) for i in range(1, sys.n)])
+    out = []
+    for s in range(1, s_max + 1):
+        lhs = block_vp(sys, s, p) - kummer_vp_factorial(s, p)
+        out.append(lhs >= accolade(s, sys.n - 1, p) + base)
+    return out
 
 
 def lcm_upto(n: int) -> int:

@@ -353,12 +353,20 @@ def test_radius_at_large_prime():
 
 def test_galochkin_at_the_smax_cap():
     # only the row e_0 of gauss2f1's companion system is stepped, as a
-    # primitive part; stepping and keeping every full H_s took 5.0 s
-    argv = ["galochkin", "--catalog", "gauss2f1", "--smax", str(SMAX_MAX)]
-    [(code, has_error, seconds, env)] = _run_in_child([argv])
-    assert code == 0 and not has_error
-    assert seconds < 3
-    validate(env, load_schema("galochkin"))
+    # primitive part; stepping and keeping every full H_s took 5.0 s.  size
+    # and bombieri at the s cap read h and the radius off one valuation of
+    # q_s and of r_s per prime.  Each command runs in a child of its own, so
+    # none reuses another's stepped system
+    cases = [
+        ("galochkin", ["--catalog", "gauss2f1", "--smax", str(SMAX_MAX)]),
+        ("size", ["--catalog", "polylog:3", "--s", str(S_MAX), "--prime-bound", str(S_MAX)]),
+        ("bombieri", ["--catalog", "polylog:3", "--s", str(S_MAX), "--prime-bound", str(S_MAX)]),
+    ]
+    for command, args in cases:
+        [(code, has_error, seconds, env)] = _run_in_child([[command, *args]])
+        assert code == 0 and not has_error, command
+        assert seconds < 3, command
+        validate(env, load_schema(command))
 
 
 def test_growth_work_bounded_by_dimension_times_s():

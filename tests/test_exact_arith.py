@@ -17,12 +17,17 @@ from gop.exact_arith import (
     PRIME_CHECK_BOUND,
     gauss_valuation,
     is_prime,
-    kummer_vp_factorial,
     poly_gcd,
     primes_upto,
     vp_fraction,
 )
-from oracles import lcm_upto, resultant, schoolbook_product, series_gauss_valuation
+from oracles import (
+    kummer_vp_factorial,
+    lcm_upto,
+    resultant,
+    schoolbook_product,
+    series_gauss_valuation,
+)
 
 PRIMES = (2, 3, 5)
 

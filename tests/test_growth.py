@@ -10,15 +10,7 @@ from gop import growth, modp
 from gop.catalog import polylog_operator, polylog_system
 from gop.cli import parse_operator
 from gop.diffop import Basis, RatMat, companion
-from gop.exact_arith import (
-    GAUSS_INF,
-    Poly,
-    RatFn,
-    gauss_valuation,
-    kummer_vp_factorial,
-    primes_upto,
-    vp_int,
-)
+from gop.exact_arith import Poly, RatFn, gauss_valuation, primes_upto, vp_int
 from gop.growth import (
     ExactLog,
     bombieri_report,
@@ -37,16 +29,32 @@ from oracles import (
     catalog_systems,
     cleared_powers,
     drawn_operator,
+    dwork_robba_by_definition,
     every_catalog_system,
     exact_log_of_integer,
     force_storage,
+    h_by_definition,
+    kummer_vp_factorial,
     lcm_upto,
     naive_gs_sequence,
+    rho_by_definition,
 )
 
 LI1_COMP = companion(polylog_operator(1))
 LI2_SYS = polylog_system(2)
 ONE_SYS = RatMat([[1]])
+
+
+def _definition_systems():
+    """Every catalog system and the companions of 8 drawn operators, on which
+    the p-adic readers are checked against their definitions at primes <= 31
+    and s <= 80."""
+    rng = random.Random(15)
+    out = every_catalog_system()
+    for k in range(8):
+        basis = (Basis.D, Basis.THETA)[k % 2]
+        out.append((f"drawn:{basis.value}:{k}", companion(drawn_operator(rng, basis))))
+    return out
 
 
 def test_minimal_T_examples():
@@ -102,15 +110,16 @@ def test_content_valuation_equals_coefficient_minimum():
             coeffs = [c for row in cleared_powers(sys, m) for poly in row for c in poly if c]
             for p in primes_upto(31):
                 if not coeffs:
-                    assert sys.content(m) == 0 and sys.vp(m, p) == GAUSS_INF
+                    assert sys.content(m) == 0
                     continue
                 want = min(vp_int(c, p) for c in coeffs)
-                assert vp_int(sys.content(m), p) == want == sys.vp(m, p), (label, m, p)
+                assert vp_int(sys.content(m), p) == want, (label, m, p)
 
 
 def test_row_contents_give_the_block_content():
     # c_s read off primitive rows (off e_0 at s..s+n-1 on a companion-shape
-    # G) equals the gcd over every coefficient of the full block H_s
+    # G) equals the gcd over every coefficient of the full block H_s, and
+    # r_s = s!/gcd(s!, c_s) is read off it (1 where H_s vanishes)
     rng = random.Random(15)
     companions = [(label, g) for label, g in every_catalog_system() if label.endswith(":companion")]
     for k in range(16):
@@ -128,8 +137,7 @@ def test_row_contents_give_the_block_content():
         for s in range(1, 61):
             want = math.gcd(*(c for row in cleared_powers(sys, s) for poly in row for c in poly))
             assert sys.content(s) == want, (label, s)
-            for p in primes_upto(31):
-                assert sys.vp(s, p) == (vp_int(want, p) if want else GAUSS_INF), (label, s, p)
+            assert sys.r(s) == math.factorial(s) // math.gcd(math.factorial(s), want), (label, s)
     # the route: one stepped row on companion shape, every row otherwise
     for label, g in companions:
         assert all(len(rows) == 1 for rows in cleared_system(g).hs), label
@@ -137,8 +145,8 @@ def test_row_contents_give_the_block_content():
 
 
 def test_bombieri_valuation_calls_bounded(monkeypatch):
-    # one valuation of the content per (m, p) for each reader, not one per
-    # coefficient
+    # one valuation per prime for each reader, of q_s for h(s, p) and of r_s
+    # for the horizon radius, not one per (m, p) or per coefficient
     calls = 0
 
     def counted(n, p):
@@ -148,7 +156,7 @@ def test_bombieri_valuation_calls_bounded(monkeypatch):
 
     monkeypatch.setattr(growth, "vp_int", counted)
     bombieri_report(polylog_system(3), 60, 61)
-    assert 0 < calls <= 3 * len(primes_upto(61)) * 60
+    assert calls == 2 * len(primes_upto(60))
 
 
 def test_h_s_p_examples():
@@ -169,6 +177,12 @@ def test_h_s_p_examples():
             if vals:
                 best = max(best, max(0, -min(vals)))
         assert h_s_p(LI2_SYS, 10, p).terms.get(p, Fraction(0)) == best
+    # against the definition, one m at a time
+    for label, g in _definition_systems():
+        sys = cleared_system(g)
+        for p in primes_upto(31):
+            got = [h_s_p(g, s, p).terms.get(p, 0) for s in range(1, 81)]
+            assert got == h_by_definition(sys, 80, p), (label, p)
 
 
 def test_size_estimate_examples():
@@ -203,6 +217,16 @@ def test_radius_estimate_examples():
     assert val <= math.log(5) / 4 + 1e-12
     nil, _ = is_nilpotent(p_curvature(LI2_SYS, 5))
     assert nil
+    # against the definition, one s at a time: the horizon window [s, s] that
+    # bombieri_report reads, at every s, and default windows [n, s]
+    for label, g in _definition_systems():
+        sys = cleared_system(g)
+        windows = [(s, s) for s in range(1, 81)] + [(None, s) for s in (g.n, 10, 40, 80)]
+        for p in primes_upto(31):
+            for lo, hi in windows:
+                want = rho_by_definition(sys, p, lo or g.n, hi)
+                got = radius_estimate(g, p, hi, s_min=lo)
+                assert got.terms.get(p, 0) == want, (label, p, lo, hi)
 
 
 def test_dwork_robba_examples():
@@ -210,6 +234,11 @@ def test_dwork_robba_examples():
     assert all(dwork_robba_check(LI2_SYS, 2, 40))
     # the n = 1 bound genuinely degenerates for y' = y
     assert not all(dwork_robba_check(ONE_SYS, 2, 8))
+    # against the definition, one s at a time
+    for label, g in _definition_systems():
+        sys = cleared_system(g)
+        for p in primes_upto(31):
+            assert dwork_robba_check(g, p, 80) == dwork_robba_by_definition(sys, p, 80), (label, p)
 
 
 def test_dwork_robba_all_catalog_systems():
