@@ -71,12 +71,12 @@ _EXPORTS = {
         "gauss_valuation",
     ),
     "growth": (
-        "ExactLog",
         "bombieri_report",
         "dwork_robba_check",
         "galochkin_trace",
         "gs_sequence",
         "h_s_p",
+        "log_value",
         "radius_estimate",
         "size_estimate",
     ),

@@ -232,10 +232,11 @@ def poly_json(p: Poly) -> dict:
     return {"coeffs": [frac_str(c) for c in p.coeffs], "text": poly_text(p, "x")}
 
 
-def exactlog_json(v: growth.ExactLog) -> dict:
+def exactlog_json(table: dict) -> dict:
+    """A {prime: exponent} table of log p multiples, exact and as a float."""
     return {
-        "terms": [[p, frac_str(e)] for p, e in v.terms.items()],
-        "decimal": dec15(v.to_float()),
+        "terms": [[p, frac_str(e)] for p, e in table.items()],
+        "decimal": dec15(growth.log_value(table)),
     }
 
 
@@ -303,7 +304,7 @@ def bombieri_json(rep: growth.SizeRadiusReport) -> dict:
         "n": rep.n,
         "s": rep.s_max,
         "prime_bound": rep.prime_bound,
-        "h_table": {str(p): frac_str(e) for p, e in sorted(rep.h_table.items()) if e},
+        "h_table": {str(p): frac_str(e) for p, e in rep.h_table.items()},
         "sigma_hat": exactlog_json(rep.sigma_hat),
         "rho_hat": exactlog_json(rep.rho_hat),
         "slack": dec15(rep.slack),
@@ -332,20 +333,28 @@ def _parse_point(text: str):
 # operators cost more at the same bound.
 
 # pcurv runs p·n steps of one row mod p, the step at index s O(s): polylog:3
-# at p = 1999 took 9.1-9.2 s
+# at p = 1999 took 5.6 s
 PCURV_PRIME_MAX = 2000
 # scan does that once for all the primes in its range, on one run modulo their
 # product, steps of O(s) operations on integers of up to that product's size:
-# gauss2f1 over 2..1000 took 4.1 s
+# gauss2f1 over 2..1000 took 2.5 s
 SCAN_PRIME_MAX = 1000
-# galochkin and radius run smax integer steps of the rows of H_s, kept as
-# primitive parts, only the row e_0 on a companion system: galochkin on
-# polylog:3's 4 x 4 chain system at smax 500 took 1.0-1.15 s and 113 MB peak
-# RSS, on gauss2f1 0.6-0.7 s and 65 MB
-SMAX_MAX = 500
-# size and bombieri run s of those steps and then read each prime p <= s off
-# q_s and r_s, one valuation each: each of them on polylog:3 at s 500 took
-# 1.0-1.3 s and 112 MB peak RSS, on gauss2f1 0.6-0.7 s and 65 MB
+# both take longer with the subject's order or dimension n and with e, the
+# most degree H_s gains per step (1 for polylog's chain systems, k for the
+# weight-k operator): their times grow about as the square of n^2 e p.  So
+# both also bound n^2 e times p, the top of --primes for scan, by this times
+# their p cap; polylog:3's operator, n^2 e = 48, runs to the cap.  At the
+# bound, pcurv took 0.6 s on gauss2f1 (p = 1999), 5.6 s on polylog:3 (1999),
+# 5.5 s on polylog:8 (139) and 6.3 s on polylog:10 (79); scan took 2.5 s on
+# gauss2f1 (2..1000), 1.9 s on polylog:3 (2..1000), 5.9 s on polylog:8
+# (2..592) and 5.7 s on polylog:10 (2..396)
+ORDER_WEIGHT_MAX = 48
+# galochkin and radius run smax, size and bombieri s, integer steps of the
+# rows of H_s, kept as primitive parts, only the row e_0 on a companion
+# system; size and bombieri then read each prime p <= s off q_s and r_s, one
+# valuation each.  At 500, galochkin, size, bombieri and radius each took
+# 1.0-1.4 s and 113 MB peak RSS on polylog:3's 4 x 4 chain system, and
+# galochkin, size and bombieri 0.6-0.8 s and 65 MB on gauss2f1
 S_MAX = 500
 # each of those steps costs more with the system dimension n, so all four
 # commands also bound n·s: at n·s near the bound, each of them on polylog:3,
@@ -389,6 +398,13 @@ def _check_at_most(name: str, value: int, most: int) -> None:
 
 def _check_growth_work(flag: str, s: int, g: RatMat) -> None:
     _check_at_most(f"{flag} times the system dimension {g.n}", g.n * s, GROWTH_NS_MAX)
+
+
+def _check_prime_work(flag: str, p: int, cap: int, g: RatMat) -> None:
+    sys = growth.cleared_system(g)
+    e = max(len(sys.t) - 2, *(len(c) - 1 for row in sys.tg for c in row), 1)
+    weight = f"n^2 e, for the order or dimension n = {g.n} and the degree growth per step e = {e},"
+    _check_at_most(f"{flag} times {weight}", g.n**2 * e * p, ORDER_WEIGHT_MAX * cap)
 
 
 def _catalog_entry(entry_id: Optional[str]) -> catalog.CatalogEntry:
@@ -483,6 +499,7 @@ def _cmd_pcurv(args) -> dict:
     _check_prime(args.prime)
     _check_at_most("--prime", args.prime, PCURV_PRIME_MAX)
     label, op = _resolve_operator(args)
+    _check_prime_work("--prime", args.prime, PCURV_PRIME_MAX, companion(op))
     report = p_curvature.prime_report(op, args.prime)
     return {
         "input": label,
@@ -497,17 +514,17 @@ def _cmd_scan(args) -> dict:
     primes = _parse_primes(args.primes)
     if getattr(args, "catalog", None):
         entry = _catalog_entry(args.catalog)
-        subject = entry.operator if entry.system is None else entry.system
-        scan = p_curvature.global_scan(subject, primes, subject_id=entry.id)
+        label, subject = entry.id, entry.operator if entry.system is None else entry.system
     else:
-        label, op = _resolve_operator(args)
-        scan = p_curvature.global_scan(op, primes, subject_id=label)
-    return scan_json(scan)
+        label, subject = _resolve_operator(args)
+    g = subject if isinstance(subject, RatMat) else companion(subject)
+    _check_prime_work("the top of --primes", max(primes, default=0), SCAN_PRIME_MAX, g)
+    return scan_json(p_curvature.global_scan(subject, primes, subject_id=label))
 
 
 def _cmd_galochkin(args) -> dict:
     _check_at_least("--smax", args.smax, 1)
-    _check_at_most("--smax", args.smax, SMAX_MAX)
+    _check_at_most("--smax", args.smax, S_MAX)
     label, g = _resolve_system(args)
     _check_growth_work("--smax", args.smax, g)
     trace = growth.galochkin_trace(g, args.smax)
@@ -533,14 +550,14 @@ def _cmd_radius(args) -> dict:
     label, g = _resolve_system(args)
     # the Hadamard window starts at the system order
     _check_at_least("--smax", args.smax, g.n)
-    _check_at_most("--smax", args.smax, SMAX_MAX)
+    _check_at_most("--smax", args.smax, S_MAX)
     _check_growth_work("--smax", args.smax, g)
     value = growth.radius_estimate(g, args.prime, args.smax)
     return {
         "input": label,
         "prime": args.prime,
         "s_max": args.smax,
-        "rho_p_hat": exactlog_json(value),
+        "rho_p_hat": exactlog_json({args.prime: value} if value else {}),
     }
 
 

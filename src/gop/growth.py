@@ -19,8 +19,8 @@ v_p(r_s) = max(0, v_p(s!) - v_p(c_s)), h(s, p) = v_p(q_s), each Hadamard
 term is v_p(r_s)/s and the Dwork-Robba left side, cut at 0, is -v_p(r_s).
 v(H_s) = s v(T) + v(G_s) for the Gauss valuation v at p, and content(T) is
 not 1 in general (4 for gauss2f1's companion), so these are the quantities
-of G_s only at the primes where G reduces (_is_bad); at the others they are
-those of T^s G_s (2D - 1 gets the radius of D - 1 at p = 2).
+of G_s only at the primes where G reduces (p_curvature._is_bad); at the
+others they are those of T^s G_s (2D - 1 gets the radius of D - 1 at p = 2).
 c_s is read off the rows of H_s, never off the full block.
 _step is Z-linear and maps each row e_r H_s to e_r H_(s+1), so a row c K
 with K primitive steps to c _step(K): each row is stepped as its primitive
@@ -32,8 +32,11 @@ content(e_i H_s) = content(e_0 H_(s+i)) / content(T)^i: only the row e_0 is
 stepped, and c_s is read off it at s, ..., s+n-1.  p_curvature reads the
 rows of H_p mod p off the same row by the same identity.
 
-Logarithmic quantities are carried as exact {prime: exponent} combinations
-for as long as possible; floats appear only in reports.
+A logarithmic quantity, a sum of rational multiples of log p, is a table
+{p: exponent}, primes ascending and zero exponents left out; log_value
+turns one into a float only for a report.  Apart from _step's modulus,
+which modp passes, the module runs in characteristic 0: the test whether G
+reduces mod p and every reading of H_s mod p live in p_curvature and modp.
 """
 
 from __future__ import annotations
@@ -43,9 +46,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .diffop import RatMat
-from .errors import BadPrime
 from .exact_arith import Poly, RatFn, accolade, as_ratfn, poly_lcm, primes_upto, vp_int
-from . import modp
 
 
 class _IntSystem:
@@ -199,27 +200,6 @@ def cleared_system(g: RatMat) -> _IntSystem:
     return sys
 
 
-def _is_bad(sys: _IntSystem, p: int) -> bool:
-    """True iff G does not reduce mod p, for sys = cleared_system(G)."""
-    # T = d*T0 with T0 monic.  For p not dividing d, v_p(T) = 0; for p | d,
-    # the minimality of d gives min(v_p(T), v_p(TG)) = 0.  By Gauss's lemma
-    # some entry TG_ij / T of G has negative Gauss valuation exactly when
-    # p divides every coefficient of T.
-    return all(c % p == 0 for c in sys.t)
-
-
-def _bad_prime(p: int) -> BadPrime:
-    return BadPrime(p, "entry with negative Gauss valuation")
-
-
-def _good_cleared_system(g: RatMat, p: int) -> _IntSystem:
-    """cleared_system(g), or BadPrime when G does not reduce mod p."""
-    sys = cleared_system(g)
-    if _is_bad(sys, p):
-        raise _bad_prime(p)
-    return sys
-
-
 def gs_sequence(g: RatMat, s_max: int) -> list[RatMat]:
     """[G_1, ..., G_s_max] with G_1 = G and G_{s+1} = G_s G + G_s', read off
     the cleared sequence as G_s = H_s / T^s in lowest terms.  It steps its
@@ -237,66 +217,6 @@ def gs_sequence(g: RatMat, s_max: int) -> list[RatMat]:
         ts = ts * t
         out.append(RatMat([[RatFn(Poly(c), ts) for c in row] for row in h]))
     return out
-
-
-# ---------------------------------------------------------------------------
-# exact logarithmic combinations
-
-
-class ExactLog:
-    """Finite sum of rational multiples of log p, kept exact."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for p, e in (terms or {}).items():
-            e = Fraction(e)
-            if e:
-                clean[p] = e
-        object.__setattr__(self, "terms", dict(sorted(clean.items())))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ExactLog is immutable")
-
-    @staticmethod
-    def single(p: int, e) -> "ExactLog":
-        return ExactLog({p: Fraction(e)})
-
-    @staticmethod
-    def zero() -> "ExactLog":
-        return ExactLog()
-
-    def __add__(self, other: "ExactLog"):
-        out = dict(self.terms)
-        for p, e in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) + e
-        return ExactLog(out)
-
-    def __sub__(self, other: "ExactLog"):
-        out = dict(self.terms)
-        for p, e in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) - e
-        return ExactLog(out)
-
-    def scale(self, c) -> "ExactLog":
-        c = Fraction(c)
-        return ExactLog({p: e * c for p, e in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, ExactLog) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def to_float(self) -> float:
-        return sum(float(e) * math.log(p) for p, e in self.terms.items())
-
-    def __repr__(self):
-        if not self.terms:
-            return "ExactLog(0)"
-        body = " + ".join(f"{e}*log({p})" for p, e in self.terms.items())
-        return f"ExactLog({body} = {self.to_float():.6f})"
 
 
 # ---------------------------------------------------------------------------
@@ -327,33 +247,33 @@ def galochkin_trace(g: RatMat, s_max: int) -> GalochkinTrace:
 # size, radius, Dwork-Robba, Bombieri
 
 
-def h_s_p(g: RatMat, s: int, p: int) -> ExactLog:
-    """sup over m <= s of log+ |H_m/m!| at p, exact: the exponent
+def log_value(table: dict) -> float:
+    """The float sum of e log p over a {prime: exponent} table, in ascending p."""
+    return sum(float(e) * math.log(p) for p, e in table.items())
+
+
+def h_s_p(g: RatMat, s: int, p: int) -> int:
+    """sup over m <= s of log+ |H_m/m!| at p, as the exponent of log p:
     max(0, max_m (v_p(m!) - v_p(c_m))) = v_p(q_s)."""
-    e = vp_int(cleared_system(g).q(s), p)
-    return ExactLog.single(p, e) if e else ExactLog.zero()
+    return vp_int(cleared_system(g).q(s), p)
 
 
-def size_estimate(g: RatMat, s: int, prime_bound: int) -> ExactLog:
-    """Finite truncation of the size: (1/s) * sum over p <= bound of h(s, p).
+def size_estimate(g: RatMat, s: int, prime_bound: int) -> dict:
+    """Finite truncation of the size, (1/s) * sum over p <= bound of h(s, p),
+    as the table {p: h(s, p)/s} of its nonzero terms.
 
     Only primes p <= s are visited: H_m is integral and v_p(m!) = 0 for
     p > m, so h(s, p) = 0 for every p > s.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    acc = ExactLog.zero()
-    for p in primes_upto(min(s, prime_bound)):
-        acc = acc + h_s_p(g, s, p).scale(Fraction(1, s))
-    return acc
+    return {p: Fraction(e, s) for p in primes_upto(min(s, prime_bound)) if (e := h_s_p(g, s, p))}
 
 
-def radius_estimate(
-    g: RatMat, p: int, s_max: int, s_min: int | None = None
-) -> ExactLog:
+def radius_estimate(g: RatMat, p: int, s_max: int, s_min: int | None = None) -> Fraction:
     """Truncated Hadamard estimate of the inverse generic radius at p:
     log+ (1/R_hat) with R_hat = min over the window of |H_s/s!|^(-1/s), that
-    is log p times the window maximum of v_p(r_s)/s.
+    is log p times the window maximum of v_p(r_s)/s, which is returned.
 
     The default window is [n, s_max].  The window floor matters: early terms
     can sit far above the eventual liminf, so report-level consumers pass a
@@ -363,8 +283,7 @@ def radius_estimate(
     lo = sys.n if s_min is None else max(1, s_min)
     if s_max < lo:
         raise ValueError("window is empty")
-    best = max(Fraction(vp_int(sys.r(s), p), s) for s in range(lo, s_max + 1))
-    return ExactLog.single(p, best) if best else ExactLog.zero()
+    return max(Fraction(vp_int(sys.r(s), p), s) for s in range(lo, s_max + 1))
 
 
 def dwork_robba_check(g: RatMat, p: int, s_max: int) -> list[bool]:
@@ -387,8 +306,8 @@ class SizeRadiusReport(NamedTuple):
     s_max: int
     prime_bound: int
     h_table: dict
-    sigma_hat: ExactLog
-    rho_hat: ExactLog
+    sigma_hat: dict
+    rho_hat: dict
     slack: float
     lower_ok: bool
     upper_ok: bool
@@ -407,27 +326,21 @@ def bombieri_report(
     while the horizon quotient tracks it.
 
     Both sums run over primes p <= min(s, prime_bound) only; above s every
-    term is 0, as in size_estimate, and h_table holds only the visited primes.
+    term is 0, as in size_estimate.  sigma_hat and rho_hat are tables
+    {p: exponent of log p} of their nonzero terms, and h_table is
+    {p: h(s, p)} on the primes of sigma_hat.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    sys = cleared_system(g)
-    n = sys.n
-    sigma = rho = ExactLog.zero()
-    h_table = {}
-    for p in primes_upto(min(s, prime_bound)):
-        rho = rho + radius_estimate(g, p, s, s_min=s)
-        hv = h_s_p(g, s, p)
-        sigma = sigma + hv.scale(Fraction(1, s))
-        h_table[p] = hv.terms.get(p, Fraction(0))
-    sig_f, rho_f = sigma.to_float(), rho.to_float()
+    sigma = size_estimate(g, s, prime_bound)
+    n = cleared_system(g).n
+    rho = {p: e for p in primes_upto(min(s, prime_bound)) if (e := radius_estimate(g, p, s, s_min=s))}
+    sig_f, rho_f = log_value(sigma), log_value(rho)
     lower_ok = rho_f <= sig_f + slack
     upper_ok = sig_f <= rho_f + (n - 1) + slack
     return SizeRadiusReport(
         n=n,
         s_max=s,
         prime_bound=prime_bound,
-        h_table=h_table,
+        h_table={p: e * s for p, e in sigma.items()},
         sigma_hat=sigma,
         rho_hat=rho,
         slack=slack,
@@ -435,18 +348,3 @@ def bombieri_report(
         upper_ok=upper_ok,
         sandwich_ok=lower_ok and upper_ok,
     )
-
-
-def nilpotence_valuation_bound(g: RatMat, p: int, s_upto: int = 3) -> bool:
-    """For a system nilpotent mod p, certify v(G_{pns}) >= s for s <= s_upto
-    (the sigma read off v(G_{pn}) >= 1).  Runs the cleared recurrence modulo
-    p^s_upto and tests every coefficient of the block at once.  BadPrime
-    when G does not reduce mod p."""
-    sys = _good_cleared_system(g, p)
-    n = sys.n
-    modulus = p**s_upto
-    seq = modp.ClearedSequenceMod(sys.t, sys.tg, modulus)
-    for s in range(1, s_upto + 1):
-        if any(c % p**s for row in seq.goto(p * n * s) for poly in row for c in poly):
-            return False
-    return True

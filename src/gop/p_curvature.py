@@ -2,11 +2,12 @@
 
 Everything in characteristic p runs on one engine, ``modp.ClearedSequenceMod``,
 over the integer cleared system (T, TG) of ``growth.cleared_system``.  A prime
-is bad exactly when T = 0 mod p (``growth._is_bad``).  At a good prime the
+is bad exactly when T = 0 mod p: ``_is_bad`` checks that identity, and
+``_good_cleared_system`` raises BadPrime there.  At a good prime the
 p-curvature of y' = Gy is read off H_p = T^p G_p mod p; T is nonzero mod p,
 and F_p[z] is a domain, so c H_p for any nonzero c in F_p[z] has G_p's
 nilpotence verdict and index: (c H_p)^k = c^k H_p^k vanishes exactly when
-G_p^k does.
+G_p^k does.  ``nilpotence_valuation_bound`` runs the same engine modulo p^s.
 
 Each scan subject steps one sequence.  A system steps H_s and reads H_p.  An
 operator L of order n steps only the row e_0 of its companion system from
@@ -46,11 +47,32 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .diffop import DiffOp, RatMat, companion
-from .errors import IrregularPoint
+from .errors import BadPrime, IrregularPoint
 from .exact_arith import falling_factorial_poly
-from .growth import _bad_prime, _good_cleared_system, _is_bad, cleared_system
+from .growth import _IntSystem, cleared_system
 from .local_analysis import _frobenius
 from .modp import ClearedSequenceMod, FpMat, _reduce, reduce_poly_mod_p, reduce_ratfn_mod_p
+
+
+def _is_bad(sys: _IntSystem, p: int) -> bool:
+    """True iff G does not reduce mod p, for sys = cleared_system(G)."""
+    # T = d*T0 with T0 monic.  For p not dividing d, v_p(T) = 0; for p | d,
+    # the minimality of d gives min(v_p(T), v_p(TG)) = 0.  By Gauss's lemma
+    # some entry TG_ij / T of G has negative Gauss valuation exactly when
+    # p divides every coefficient of T.
+    return all(c % p == 0 for c in sys.t)
+
+
+def _bad_prime(p: int) -> BadPrime:
+    return BadPrime(p, "entry with negative Gauss valuation")
+
+
+def _good_cleared_system(g: RatMat, p: int) -> _IntSystem:
+    """cleared_system(g), or BadPrime when G does not reduce mod p."""
+    sys = cleared_system(g)
+    if _is_bad(sys, p):
+        raise _bad_prime(p)
+    return sys
 
 
 def p_curvature(g: RatMat, p: int) -> FpMat:
@@ -147,6 +169,21 @@ def relation_gp_power_holds(g: RatMat, p: int, k_max: int) -> bool:
     for k in range(2, k_max + 1):
         power = power * hp
         if power != FpMat(p, seq.goto(p * k)):
+            return False
+    return True
+
+
+def nilpotence_valuation_bound(g: RatMat, p: int, s_upto: int = 3) -> bool:
+    """For a system nilpotent mod p, certify v(G_{pns}) >= s for s <= s_upto
+    (the sigma read off v(G_{pn}) >= 1).  Runs the cleared recurrence modulo
+    p^s_upto and tests every coefficient of the block at once.  BadPrime
+    when G does not reduce mod p."""
+    sys = _good_cleared_system(g, p)
+    n = sys.n
+    modulus = p**s_upto
+    seq = ClearedSequenceMod(sys.t, sys.tg, modulus)
+    for s in range(1, s_upto + 1):
+        if any(c % p**s for row in seq.goto(p * n * s) for poly in row for c in poly):
             return False
     return True
 

@@ -33,7 +33,7 @@ from gop.exact_arith import (
     vp_fraction,
     vp_int,
 )
-from gop.growth import ExactLog, _step, cleared_system
+from gop.growth import _step, cleared_system
 from gop.local_analysis import regular_series_solutions
 from gop import modp
 from gop.modp import reduce_ratfn_mod_p
@@ -592,8 +592,9 @@ def lcm_upto(n: int) -> int:
     return math.lcm(*range(1, n + 1))
 
 
-def exact_log_of_integer(n: int, prime_bound: int) -> ExactLog:
-    """log n as an ExactLog; all prime factors must be <= prime_bound."""
+def exact_log_of_integer(n: int, prime_bound: int) -> dict:
+    """log n as a table {p: v_p(n)}, primes ascending; all prime factors
+    must be <= prime_bound."""
     if n <= 0:
         raise ValueError("positive integers only")
     terms = {}
@@ -604,7 +605,7 @@ def exact_log_of_integer(n: int, prime_bound: int) -> ExactLog:
             n //= p**v
     if n != 1:
         raise ValueError(f"prime factor above the bound remains: {n}")
-    return ExactLog(terms)
+    return terms
 
 
 def series_gauss_valuation(coeffs, prime: int):
@@ -633,3 +634,37 @@ def hypergeom_expected_exponents(alphas, betas) -> dict:
         "1": sorted(at_one),
         "inf": sorted(alphas),
     }
+
+
+# ---------------------------------------------------------------------------
+# transforms that leave the p-curvature's nilpotence alone
+
+
+def _mat_inverse(a):
+    """Gauss-Jordan inverse of an invertible square matrix over Q(z)."""
+    n = len(a)
+    rows = [list(row) + [RatFn.ONE if i == j else RatFn.ZERO for j in range(n)] for i, row in enumerate(a)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if not rows[r][c].is_zero())
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [e / rows[c][c] for e in rows[c]]
+        for r in range(n):
+            if r != c and not rows[r][c].is_zero():
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def gauge(g: RatMat, p: RatMat) -> RatMat:
+    """The system of x = P y for y' = G y: P G P^-1 + P' P^-1.  Where P and
+    P^-1 reduce mod p it conjugates the p-curvature (Katz 1970)."""
+    inv = RatMat(_mat_inverse(p.entries))
+    return p * g * inv + p.derivative() * inv
+
+
+def twist(g: RatMat, lam) -> RatMat:
+    """The system of x = z^lam y for y' = G y: G + (lam/z) I.  At a prime not
+    dividing lam's denominator the scalar lam/z has p-curvature
+    (lam^p - lam)/z^p = 0, so nilpotence and its index stay."""
+    shift = RatFn(Poly([as_fraction(lam)]), Poly([0, 1]))
+    return RatMat([[e + shift if i == j else e for j, e in enumerate(row)] for i, row in enumerate(g.entries)])

@@ -16,12 +16,12 @@ import gop
 from gop.catalog import CATALOG, hypergeom_operator
 from gop.cli import (
     GROWTH_NS_MAX,
+    ORDER_WEIGHT_MAX,
     PADE_M_MAX,
     PADE_N_MAX,
     PCURV_PRIME_MAX,
     S_MAX,
     SCAN_PRIME_MAX,
-    SMAX_MAX,
     main,
     operator_text,
     parse_operator,
@@ -322,7 +322,7 @@ def test_work_flags_bounded_at_boundary():
         ["scan", "--catalog", "polylog:2", "--primes", f"2..{SCAN_PRIME_MAX + 1}"],
         ["scan", "--catalog", "polylog:2", "--primes", "2..1000000000000000009"],
         ["galochkin", "--catalog", "polylog:1", "--smax", "100000000"],
-        ["galochkin", "--catalog", "polylog:1", "--smax", str(SMAX_MAX + 1)],
+        ["galochkin", "--catalog", "polylog:1", "--smax", str(S_MAX + 1)],
         ["radius", "--catalog", "polylog:1", "--prime", "2", "--smax", "100000000"],
         ["size", "--catalog", "polylog:2", "--s", "2000", "--prime-bound", "5"],
         ["size", "--catalog", "polylog:2", "--s", str(S_MAX + 1), "--prime-bound", "5"],
@@ -358,7 +358,7 @@ def test_galochkin_at_the_smax_cap():
     # q_s and of r_s per prime.  Each command runs in a child of its own, so
     # none reuses another's stepped system
     cases = [
-        ("galochkin", ["--catalog", "gauss2f1", "--smax", str(SMAX_MAX)]),
+        ("galochkin", ["--catalog", "gauss2f1", "--smax", str(S_MAX)]),
         ("size", ["--catalog", "polylog:3", "--s", str(S_MAX), "--prime-bound", str(S_MAX)]),
         ("bombieri", ["--catalog", "polylog:3", "--s", str(S_MAX), "--prime-bound", str(S_MAX)]),
     ]
@@ -382,6 +382,29 @@ def test_growth_work_bounded_by_dimension_times_s():
         ["radius", "--catalog", "polylog:10", "--prime", "3", "--smax", str(s + 1)],
         ["size", "--catalog", "polylog:10", "--s", str(s + 1), "--prime-bound", "5"],
         ["bombieri", "--catalog", "polylog:10", "--s", str(s + 1), "--prime-bound", "5"],
+    ])
+
+
+def test_prime_work_bounded_by_order_and_degree_growth():
+    # a run's time grows about as the square of n^2 e p, so p alone bounds
+    # too little: pcurv on polylog:8 at p = 1009 took 188 s and on polylog:10 at p = 211
+    # 30 s, scan on polylog:10 over 2..1000 33.5 s.  polylog:10's operator has
+    # n = 11 and e = 10, its chain system n = 11 and e = 1
+    p = max(q for q in range(2, ORDER_WEIGHT_MAX * PCURV_PRIME_MAX // 1210 + 1) if is_prime(q))
+    above = next(q for q in range(p + 1, 2 * p) if is_prime(q))
+    assert 1210 * p <= ORDER_WEIGHT_MAX * PCURV_PRIME_MAX < 1210 * above
+    [(code, has_error, seconds, env)] = _run_in_child([["pcurv", "--catalog", "polylog:10", "--prime", str(p)]])
+    assert code == 0 and not has_error
+    assert seconds < 15
+    validate(env, load_schema("pcurv"))
+    top = ORDER_WEIGHT_MAX * SCAN_PRIME_MAX // 121
+    above_top = next(q for q in range(top + 1, 2 * top) if is_prime(q))
+    _assert_usage_errors([
+        ["pcurv", "--catalog", "polylog:10", "--prime", str(above)],
+        ["scan", "--catalog", "polylog:10", "--primes", f"2..{above_top}"],
+        ["pcurv", "--catalog", "polylog:8", "--prime", "1009"],
+        ["pcurv", "--catalog", "polylog:10", "--prime", "211"],
+        ["scan", "--catalog", "polylog:10", "--primes", "2..1000"],
     ])
 
 

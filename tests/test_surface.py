@@ -129,3 +129,11 @@ def test_reexports_are_the_layers_own_objects():
         module = getattr(gop, layer)
         for name in names:
             assert getattr(gop, name) is getattr(module, name), f"{layer}.{name}"
+
+
+def test_growth_is_a_characteristic_zero_layer():
+    # growth reads p-adic quantities off integers; the test whether G reduces
+    # mod p and every mod-p run live in p_curvature and modp, which import
+    # growth, never the other way round
+    imported = {name if source == "" else source for source, name, _ in _imports(_modules()["growth"])}
+    assert not imported & {"modp", "p_curvature", "errors"}, imported
