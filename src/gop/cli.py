@@ -771,6 +771,13 @@ def _dispatch(args) -> tuple[int, dict]:
         return 1, _error_envelope(args.command, exc)
     except DomainError as exc:
         return 2, _error_envelope(args.command, exc) | {"error_kind": type(exc).__name__}
+    except Exception as exc:
+        # a fault of gop's own: one envelope on stdout, its traceback on stderr
+        import traceback
+
+        traceback.print_exc()
+        error = f"{type(exc).__name__}: {exc}"
+        return 2, _error_envelope(args.command, error) | {"error_kind": "InternalError"}
     envelope = {
         "tool": "gop",
         "version": __version__,
@@ -781,8 +788,8 @@ def _dispatch(args) -> tuple[int, dict]:
     return 0, envelope
 
 
-def _error_envelope(command: str, exc: Exception) -> dict:
-    return {"tool": "gop", "version": __version__, "command": command, "error": str(exc)}
+def _error_envelope(command: str, error) -> dict:
+    return {"tool": "gop", "version": __version__, "command": command, "error": str(error)}
 
 
 def main(argv=None) -> int:

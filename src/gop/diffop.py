@@ -26,7 +26,6 @@ from .errors import InsufficientTruncation
 from .exact_arith import (
     Poly,
     RatFn,
-    _cleared_product,
     as_fraction,
     as_ratfn,
     ratfn_text,
@@ -368,9 +367,10 @@ class TruncatedSeries:
         return TruncatedSeries([c * a for a in self.coeffs])
 
     def mul_poly(self, p: Poly) -> "TruncatedSeries":
-        """The product with p, known to the same order: _cleared_product of
-        the integer numerators, truncated to trunc_order."""
-        return TruncatedSeries(_cleared_product(self.coeffs, p.coeffs, self.trunc_order))
+        """The product with p, known to the same order: Poly's integer
+        product, truncated to trunc_order."""
+        prod = Poly(self.coeffs).truncated_product(p, self.trunc_order)
+        return TruncatedSeries([prod[k] for k in range(self.trunc_order)])
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:6])

@@ -1,8 +1,10 @@
 """Exact rational, polynomial and rational-function arithmetic over Q.
 
-Everything here is immutable and pure.  Polynomials are dense lists of
-``Fraction`` coefficients (index = degree); rational functions keep a monic,
-coprime denominator.  Valuations follow the logarithmic convention: the Gauss
+Everything here is immutable and pure.  A polynomial is one tuple of integer
+numerators over one positive denominator (index = degree), so its products,
+divisions and gcds run on integers, and this module is the only one that
+decides how Q[z] is stored; rational functions keep a monic, coprime
+denominator.  Valuations follow the logarithmic convention: the Gauss
 absolute value p^(-v) is represented by the integer v, with the zero function
 mapped to :data:`GAUSS_INF`, which is ``math.inf``.
 """
@@ -18,9 +20,7 @@ from typing import Sequence
 def as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
@@ -39,14 +39,6 @@ def vp_int(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def vp_fraction(q: Fraction, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    q = as_fraction(q)
-    if q == 0:
-        raise ValueError("vp of 0 is undefined")
-    return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
 def accolade(s: int, m: int, p: int) -> int:
@@ -128,15 +120,19 @@ GAUSS_INF = math.inf
 
 
 class Poly:
-    """Dense univariate polynomial over Q.  Immutable."""
+    """Immutable polynomial sum nums[i] z^i / den over Q, in FLINT's fmpq_poly
+    form: den > 0, gcd(content(nums), den) = 1, no trailing zero in nums.
+    Poly(coeffs, den) divides ints, Fractions or rational strings by den;
+    coeffs reads the coefficients back as Fractions."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Sequence = ()):
+    def __new__(cls, coeffs: Sequence = (), den: int = 1):
+        if not den:
+            raise ZeroDivisionError("polynomial with zero denominator")
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        d = math.lcm(*(c.denominator for c in cs))
+        return _poly([c.numerator * (d // c.denominator) for c in cs], den * d)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -145,7 +141,7 @@ class Poly:
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly([as_fraction(c)])
+        return Poly([c])
 
     @staticmethod
     def x(power: int = 1, coeff=1) -> "Poly":
@@ -157,52 +153,52 @@ class Poly:
     # -- structure
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[-1], self.den)
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.nums, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     # -- ring operations
 
     def __add__(self, other):
         other = _as_poly(other)
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        a = [x * (den // self.den) for x in self.nums]
+        b = [x * (den // other.den) for x in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return _poly([x + y for x, y in zip(a, b)] + a[len(b) :], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _poly([-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -211,24 +207,29 @@ class Poly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other):
-        """Product with a scalar, coefficient by coefficient, or with a
-        polynomial, by _cleared_product on the integer numerators of both
-        factors; either way every coefficient is a canonical Fraction."""
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            return Poly([c * a for a in self.coeffs])
+        """One integer slice convolution of the numerators and one gcd; a
+        scalar is a constant polynomial."""
         other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        size = len(self.coeffs) + len(other.coeffs) - 1
-        return Poly(_cleared_product(self.coeffs, other.coeffs, size))
+        return self.truncated_product(other, len(self.nums) + len(other.nums) - 1)
 
     __rmul__ = __mul__
+
+    def truncated_product(self, other: "Poly", size: int) -> "Poly":
+        """self * other modulo z^size."""
+        a, b = self.nums[:size], other.nums[:size]
+        if len(a) < len(b):
+            a, b = b, a
+        width = len(a)
+        acc = [0] * max(0, min(size, width + len(b) - 1))
+        for i, x in enumerate(b):
+            if x:
+                acc[i : i + width] = [u + x * y for u, y in zip(acc[i : i + width], a)]
+        return _poly(acc, self.den * other.den)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        out, base = Poly.const(1), self
+        out, base = Poly.ONE, self
         while n:
             if n & 1:
                 out = out * base
@@ -237,20 +238,31 @@ class Poly:
         return out
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Pseudo-division of the numerators by b, the primitive part of
+        other's: s*nums = q*b + r on the integers.  A step whose top
+        coefficient lc(b) does not divide first scales r, q and s by the
+        missing factor.  When other divides self, the quotient is integral
+        (Gauss's lemma), so every step is exact and s = 1."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db, lb = other.degree, other.leading()
-        if self.degree < db:
-            return Poly(), self
-        quo = [Fraction(0)] * (self.degree - db + 1)
+        if self.degree < other.degree:
+            return Poly.ZERO, self
+        if other.degree == 0:
+            return self * Fraction(other.den, other.nums[0]), Poly.ZERO
+        g = math.gcd(*other.nums)
+        b = [c // g for c in other.nums]
+        rem, db, lb, s = list(self.nums), other.degree, b[-1], 1
+        quo = [0] * (len(rem) - db)
         for k in range(len(quo) - 1, -1, -1):
-            c = rem[db + k] / lb
-            quo[k] = c
+            c = rem[db + k]
+            if c % lb:
+                f = abs(lb) // math.gcd(c, lb)
+                rem, quo, s = [x * f for x in rem], [x * f for x in quo], s * f
+                c = rem[db + k]
+            quo[k] = c = c // lb
             if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[j + k] -= c * b
-        return Poly(quo), Poly(rem[:db])
+                rem[k : db + k + 1] = [x - c * y for x, y in zip(rem[k : db + k + 1], b)]
+        return _poly([c * other.den for c in quo], s * self.den * g), _poly(rem[:db], s * self.den)
 
     def __mod__(self, other):
         return self.divmod(_as_poly(other))[1]
@@ -264,20 +276,28 @@ class Poly:
     # -- calculus and evaluation
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def evaluate(self, a) -> Fraction:
+        """Horner's rule on sum nums[i] u^i v^(deg-i) / (den v^deg), a = u/v."""
+        if not self.nums:
+            return Fraction(0)
         a = as_fraction(a)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        u, v = a.numerator, a.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * u + c * scale
+            scale *= v
+        return Fraction(acc, self.den * scale // v)
 
     def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.const(c)
-        return acc
+        """Horner's rule on sum nums[i] B^i e^(deg-i) / (den e^deg), inner = B/e."""
+        b = _poly(inner.nums)
+        acc, scale = Poly.ZERO, 1
+        for c in reversed(self.nums):
+            acc = acc * b + c * scale
+            scale *= inner.den
+        return _poly(acc.nums, self.den * inner.den ** max(self.degree, 0))
 
     def shift_argument(self, a) -> "Poly":
         """p(z + a)."""
@@ -287,50 +307,36 @@ class Poly:
         """z^length * p(1/z); requires length >= degree."""
         if length < self.degree:
             raise ValueError("length must be at least the degree")
-        out = [Fraction(0)] * (length + 1)
-        for i, c in enumerate(self.coeffs):
-            out[length - i] = c
-        return Poly(out)
+        return _poly([0] * (length - self.degree) + list(reversed(self.nums)), self.den)
 
     # -- content, roots, factor tools
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer primitive; 0 for 0."""
-        if self.is_zero():
-            return Fraction(0)
-        num = math.gcd(*(c.numerator for c in self.coeffs))
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return Fraction(num, den)
+        return Fraction(math.gcd(*self.nums), self.den)
 
     def primitive(self) -> "Poly":
         """Integer-coefficient primitive form with positive leading coefficient."""
         if self.is_zero():
             return self
-        c = self.content()
-        p = self * (1 / c)
-        return -p if p.leading() < 0 else p
+        return _poly(self.nums, math.gcd(*self.nums) * (1 if self.nums[-1] > 0 else -1))
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self * (1 / self.leading())
+        return _poly(self.nums, self.nums[-1])
 
     def valuation_at_zero(self) -> int:
         if self.is_zero():
             raise ValueError("zero polynomial")
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise AssertionError
+        return next(i for i, c in enumerate(self.nums) if c)
 
     def root_multiplicity(self, a) -> int:
         """Multiplicity of the rational root a (0 when not a root)."""
         a = as_fraction(a)
-        p, m = self, 0
-        lin = Poly([-a, 1])
-        while not p.is_zero() and p.evaluate(a) == 0:
-            p = p.exact_div(lin)
-            m += 1
+        p, m, lin = self, 0, Poly([-a, 1])
+        while p and p.evaluate(a) == 0:
+            p, m = p.exact_div(lin), m + 1
         return m
 
     def factor_multiplicity(self, f: "Poly") -> int:
@@ -338,11 +344,11 @@ class Poly:
         if f.degree < 1:
             raise ValueError("factor must be nonconstant")
         p, k = self, 0
-        while not p.is_zero():
-            q, r = p.divmod(f)
-            if not r.is_zero():
+        while p:
+            p, r = p.divmod(f)
+            if r:
                 break
-            p, k = q, k + 1
+            k += 1
         return k
 
     def rational_roots(self) -> list[tuple[Fraction, int]]:
@@ -354,11 +360,10 @@ class Poly:
         v = p.valuation_at_zero()
         if v:
             roots.append((Fraction(0), v))
-            p = Poly(p.coeffs[v:])
+            p = _poly(p.nums[v:])
         if p.degree >= 1:
-            a0 = int(p.constant())
-            an = int(p.leading())
-            bound = 1 + max(abs(c) / abs(p.leading()) for c in p.coeffs)
+            a0, an = p.nums[0], p.nums[-1]
+            bound = 1 + Fraction(max(abs(c) for c in p.nums), an)
             seen = set()
             for num in _divisors(a0):
                 for den in _divisors(an):
@@ -397,50 +402,35 @@ class Poly:
         return f"Poly({poly_text(self)})"
 
 
-Poly.ZERO = Poly()
-Poly.ONE = Poly([1])
+def _poly(nums: Sequence[int], den: int = 1) -> Poly:
+    """The Poly sum nums[i] z^i / den, den a nonzero int, in canonical form."""
+    nums = list(nums)
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums) * (1 if den > 0 else -1)
+    p = object.__new__(Poly)
+    object.__setattr__(p, "nums", tuple(c // g for c in nums) if g != 1 else tuple(nums))
+    object.__setattr__(p, "den", den // g)
+    return p
 
 
-def _cleared(cs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(nums, d) with cs[i] = nums[i] / d, d the lcm of the denominators."""
-    d = math.lcm(*(c.denominator for c in cs))
-    return [c.numerator * (d // c.denominator) for c in cs], d
-
-
-def _cleared_product(xs: Sequence[Fraction], ys: Sequence[Fraction], size: int) -> list[Fraction]:
-    """The first size coefficients of (sum xs[i] z^i)(sum ys[j] z^j) over Q.
-
-    Both factors are cleared to integers over the lcm of their denominators,
-    multiplied by slices on the integers, and each output coefficient becomes
-    one canonical Fraction over the product of the two lcms: one gcd per
-    output coefficient instead of one per term of the schoolbook sum."""
-    a, da = _cleared(xs[:size])
-    b, db = _cleared(ys[:size])
-    if len(a) < len(b):
-        a, b = b, a
-    width = len(a)
-    acc = [0] * size
-    for i, x in enumerate(b):
-        if x:
-            acc[i : i + width] = [u + x * y for u, y in zip(acc[i : i + width], a)]
-    d = da * db
-    return [Fraction(c, d) for c in acc]
+Poly.ZERO = _poly(())
+Poly.ONE = _poly((1,))
 
 
 def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x
     if isinstance(x, (int, Fraction)):
-        return Poly.const(x)
+        return _poly([x.numerator], x.denominator)
     raise TypeError(f"cannot interpret {x!r} as a polynomial")
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
+    """Monic gcd over Q by the primitive remainder sequence (Knuth, TAOCP
+    vol. 2, 4.6.1): each remainder is replaced by its primitive part."""
+    while b:
+        a, b = b, (a % b).primitive()
     return a.monic()
 
 
@@ -583,13 +573,9 @@ class RatFn:
         if self.is_zero() or other.is_zero():
             return RatFn.ZERO
         # cross-reduce first to keep intermediate degrees small
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num.exact_div(g1) if g1.degree >= 1 else self.num
-        d2 = other.den.exact_div(g1) if g1.degree >= 1 else other.den
-        n2 = other.num.exact_div(g2) if g2.degree >= 1 else other.num
-        d1 = self.den.exact_div(g2) if g2.degree >= 1 else self.den
-        return RatFn(n1 * n2, d1 * d2)
+        g1, g2 = poly_gcd(self.num, other.den), poly_gcd(other.num, self.den)
+        num = self.num.exact_div(g1) * other.num.exact_div(g2)
+        return RatFn(num, self.den.exact_div(g2) * other.den.exact_div(g1))
 
     __rmul__ = __mul__
 
@@ -699,7 +685,7 @@ def poly_gauss_valuation(p: Poly, prime: int):
     """min over coefficients of v_p; GAUSS_INF for the zero polynomial."""
     if p.is_zero():
         return GAUSS_INF
-    return min(vp_fraction(c, prime) for c in p.coeffs if c)
+    return min(vp_int(c, prime) for c in p.nums if c) - vp_int(p.den, prime)
 
 
 def gauss_valuation(f, prime: int):

@@ -179,8 +179,9 @@ _SYSTEMS: dict[RatMat, _IntSystem] = {}
 def cleared_system(g: RatMat) -> _IntSystem:
     """Cached integer cleared form of G with lazy H_s extension.
 
-    T = d*T0 with T0 the monic common denominator and d the least integer
-    making both T and TG = d*(T0*G) integral."""
+    T = d*T0 with T0 the monic common denominator and d the lcm of the
+    denominators of T0 and of the entries of T0*G: the least integer making
+    both T and TG = d*(T0*G) integral, read off their numerators."""
     sys = _SYSTEMS.get(g)
     if sys is None:
         t0 = Poly.ONE  # monic lcm of the entry denominators
@@ -188,13 +189,11 @@ def cleared_system(g: RatMat) -> _IntSystem:
             for e in row:
                 t0 = poly_lcm(t0, e.den)
         t0g = [[(as_ratfn(t0) * e).as_poly() for e in row] for row in g.entries]
-        dens = [c.denominator for c in t0.coeffs]
-        dens += [c.denominator for row in t0g for poly in row for c in poly.coeffs]
-        d = math.lcm(*dens)
+        d = math.lcm(t0.den, *(poly.den for row in t0g for poly in row))
         # t0 is monic, so d is exactly the minimal integer scale; T has
         # positive leading coefficient d
-        t = [int(c * d) for c in t0.coeffs]
-        tg = [[[int(c * d) for c in poly.coeffs] for poly in row] for row in t0g]
+        t = [c * (d // t0.den) for c in t0.nums]
+        tg = [[[c * (d // p.den) for c in p.nums] for p in row] for row in t0g]
         sys = _IntSystem(n=g.n, t=t, tg=tg)
         _SYSTEMS[g] = sys
     return sys

@@ -120,10 +120,8 @@ def _class_data(b: list[Poly], piece: Poly, location) -> IndicialData:
         for _ in range(ks[j]):
             cof = cof.exact_div(piece)
         coeff_x = (cof * fp ** ks[j]) % piece
-        ff = falling_factorial_poly(j)
-        for d in range(ff.degree + 1):
-            if ff[d]:
-                phi[d] = phi[d] + coeff_x * ff[d]
+        for d, c in enumerate(falling_factorial_poly(j).nums):
+            phi[d] = phi[d] + coeff_x * c
     return _data(point, _norm(piece, phi).primitive())
 
 

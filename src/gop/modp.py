@@ -45,25 +45,21 @@ from typing import Sequence
 
 from . import growth
 from .errors import BadPrime
-from .exact_arith import Poly, RatFn, as_fraction, gauss_valuation, poly_gauss_valuation, vp_int
+from .exact_arith import Poly, RatFn, gauss_valuation, poly_gauss_valuation
 
 
 # ---------------------------------------------------------------------------
 # reduction from characteristic zero
 
 
-def reduce_fraction_mod_p(q: Fraction, p: int) -> int:
-    q = as_fraction(q)
-    if q == 0:
-        return 0
-    if vp_int(q.denominator, p) > 0:
-        raise BadPrime(p, f"{q} has p in its denominator")
-    return (q.numerator * pow(q.denominator, p - 2, p)) % p
-
-
 def reduce_poly_mod_p(f: Poly, p: int) -> list[int]:
-    """Coefficients of f mod p, low degree first, trailing zeros trimmed."""
-    return _trim_list([reduce_fraction_mod_p(c, p) for c in f.coeffs])
+    """Coefficients of f mod p, low degree first, trailing zeros trimmed:
+    the numerators times the inverse of the one denominator, which p must
+    not divide."""
+    if f.den % p == 0:
+        raise BadPrime(p, "p divides the denominator")
+    inv = pow(f.den, p - 2, p)
+    return _trim_list([c * inv % p for c in f.nums])
 
 
 def reduce_ratfn_mod_p(f: RatFn, p: int) -> tuple[list[int], list[int]]:
@@ -74,8 +70,7 @@ def reduce_ratfn_mod_p(f: RatFn, p: int) -> tuple[list[int], list[int]]:
         return [], [1]
     if gauss_valuation(f, p) < 0:
         raise BadPrime(p, "negative Gauss valuation")
-    alpha = poly_gauss_valuation(f.den, p)
-    scale = Fraction(1, p) ** alpha if alpha >= 0 else Fraction(p) ** (-alpha)
+    scale = Fraction(p) ** -poly_gauss_valuation(f.den, p)
     return reduce_poly_mod_p(f.num * scale, p), reduce_poly_mod_p(f.den * scale, p)
 
 

@@ -51,15 +51,11 @@ def _kernel_basis(rows: list[list[Fraction]], width: int) -> list[list[Fraction]
     return basis
 
 
-def _normalize_kernel_vector(vec: Sequence[Fraction]) -> list[Fraction]:
-    den = math.lcm(*(c.denominator for c in vec))
-    ints = [c * den for c in vec]
-    g = math.gcd(*(int(c) for c in ints))
-    ints = [c / g for c in ints]
-    first = next(c for c in ints if c)
-    if first < 0:
-        ints = [-c for c in ints]
-    return ints
+def _normalize_kernel_vector(vec: Sequence[Fraction]) -> Poly:
+    """The integer primitive multiple of the vector whose first nonzero
+    coefficient, not its leading one, is positive."""
+    q = Poly(vec).primitive()
+    return -q if q.nums[q.valuation_at_zero()] < 0 else q
 
 
 def pade_type2(
@@ -85,9 +81,8 @@ def pade_type2(
     basis = _kernel_basis(rows, big_n + 1)
     if not basis:
         raise NoSolution(f"{len(rows)} equations in {big_n + 1} unknowns, trivial kernel")
-    vec = _normalize_kernel_vector(min(basis))
-    q = Poly(vec)
-    ps = [Poly(comp.mul_poly(q).coeffs[: big_n + 1]) for comp in f]
+    q = _normalize_kernel_vector(min(basis))
+    ps = [Poly(comp.coeffs).truncated_product(q, big_n + 1) for comp in f]
     return q, ps
 
 
@@ -111,13 +106,10 @@ def siegel_bound_report(
     float, or a Decimal when it lies past the float range."""
     n = len(f)
     need = big_n + big_m + 1
-    coeffs = [c for comp in f for c in comp.coeffs[:need]]
-    d = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    height = 0
-    for comp in f:
-        for c in range(big_n + 1, big_n + big_m + 1):
-            for k in range(big_n + 1):
-                height = max(height, abs(int(comp[c - k] * d)))
+    polys = [Poly(comp.coeffs[:need]) for comp in f]
+    d = math.lcm(*(p.den for p in polys))
+    # the equations read the coefficients of z^1 .. z^(N+M)
+    height = max((abs(c) * (d // p.den) for p in polys for c in p.nums[1:need]), default=0) if big_m else 0
     m_eq = n * big_m
     unknowns = big_n + 1
     if unknowns > m_eq:
@@ -165,22 +157,22 @@ def derived_tower(ps: Sequence[Poly], g: RatMat, h_max: int) -> list[list[Poly]]
 
     The cleared vector W_m = T^m (D-G)^m (dP) follows
     W_{m+1} = T W_m' - m T' W_m - (TG) W_m, so the row W_m^T follows the H_s
-    rule of growth._step with TG replaced by -(TG)^T, from W_0^T = dP^T at
-    s = 0.  Here d is the lcm of the denominators of P, T and TG come from
-    cleared_system(g), and P_m = W_m / (d m!)."""
+    rule of growth._step with TG replaced by -(TG)^T, from the numerators
+    W_0^T = dP^T at s = 0.  Here d is the lcm of the denominators of P, T and
+    TG come from cleared_system(g), and P_m is the integer W_m over d m!."""
     n = g.n
     if len(ps) != n:
         raise ValueError("vector length must match the system dimension")
     sys = cleared_system(g)
     neg_tg_t = [[[-c for c in sys.tg[k][j]] for k in range(n)] for j in range(n)]
-    d = math.lcm(*(c.denominator for p in ps for c in p.coeffs))
-    w = [[[int(c * d) for c in p.coeffs] for p in ps]]
+    d = math.lcm(*(p.den for p in ps))
+    w = [[[c * (d // p.den) for c in p.nums] for p in ps]]
     tower = [list(ps)]
     scale = d
     for m in range(h_max):
         w = _step(w, m, sys.t, neg_tg_t)
         scale *= m + 1
-        tower.append([Poly([Fraction(c, scale) for c in poly]) for poly in w[0]])
+        tower.append([Poly(poly, scale) for poly in w[0]])
     return tower
 
 

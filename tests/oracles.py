@@ -30,7 +30,6 @@ from gop.exact_arith import (
     falling_factorial_poly,
     gauss_valuation,
     primes_upto,
-    vp_fraction,
     vp_int,
 )
 from gop.growth import _step, cleared_system
@@ -425,9 +424,9 @@ def resultant(f: Poly, g: Poly) -> Fraction:
         return Fraction(0)
     m, n = f.degree, g.degree
     if m == 0:
-        return f.constant() ** n
+        return f[0] ** n
     if n == 0:
-        return g.constant() ** m
+        return g[0] ** m
     size = m + n
     rows = []
     fc = list(reversed(f.coeffs))
@@ -608,6 +607,14 @@ def exact_log_of_integer(n: int, prime_bound: int) -> dict:
     return terms
 
 
+def vp_fraction(q: Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero rational."""
+    q = as_fraction(q)
+    if q == 0:
+        raise ValueError("vp of 0 is undefined")
+    return vp_int(q.numerator, p) - vp_int(q.denominator, p)
+
+
 def series_gauss_valuation(coeffs, prime: int):
     """min v_p over supplied series coefficients; GAUSS_INF if all are zero.
 
@@ -668,3 +675,39 @@ def twist(g: RatMat, lam) -> RatMat:
     (lam^p - lam)/z^p = 0, so nilpotence and its index stay."""
     shift = RatFn(Poly([as_fraction(lam)]), Poly([0, 1]))
     return RatMat([[e + shift if i == j else e for j, e in enumerate(row)] for i, row in enumerate(g.entries)])
+
+
+# changes of variable and twists of an operator, for its local data
+
+
+def substitute(l: DiffOp, a, b, c, d) -> DiffOp:
+    """The operator in w whose solutions are y((aw+b)/(cw+d)) for the
+    solutions y of L, ad - bc != 0.  With z = phi(w),
+    D_z = D_w / phi'(w) and phi'(w) = (ad - bc)/(cw+d)^2, so
+    L = sum a_k(z) D_z^k becomes sum a_k(phi(w)) ((cw+d)^2/(ad-bc) D_w)^k."""
+    num, den = Poly([b, a]), Poly([d, c])
+    step = DiffOp(Basis.D, [0, RatFn(den * den * Fraction(1, a * d - b * c))])
+
+    def at_phi(p: Poly) -> RatFn:
+        # p(num/den) = sum p_i num^i den^(deg p - i) / den^(deg p)
+        top = sum((num**i * den ** (p.degree - i) * ci for i, ci in enumerate(p.coeffs)), Poly())
+        return RatFn(top, den**p.degree)
+
+    out, power = DiffOp(Basis.D), DiffOp(Basis.D, [1])
+    for coeff in change_basis(l).coeffs:
+        if coeff:
+            out = op_add(out, power.scaled(at_phi(coeff.num) / at_phi(coeff.den)))
+        power = op_mul(step, power)
+    return out
+
+
+def twist_operator(l: DiffOp, lam) -> DiffOp:
+    """The operator of x = z^lam y for L y = 0: theta z^(-lam) =
+    z^(-lam) (theta - lam), so the theta form sum A_k theta^k of L becomes
+    sum A_k (theta - lam)^k."""
+    step = DiffOp(Basis.THETA, [-as_fraction(lam), 1])
+    out, power = DiffOp(Basis.THETA), DiffOp(Basis.THETA, [1])
+    for coeff in theta_form(l).coeffs:
+        out = op_add(out, power.scaled(coeff))
+        power = op_mul(step, power)
+    return out

@@ -13,6 +13,7 @@ import pytest
 from jsonschema import validate
 
 import gop
+from gop import cli
 from gop.catalog import CATALOG, hypergeom_operator
 from gop.cli import (
     GROWTH_NS_MAX,
@@ -28,7 +29,7 @@ from gop.cli import (
     run_command,
 )
 from gop.diffop import Basis, DiffOp
-from gop.errors import MixedBasisError, ParseError
+from gop.errors import DomainError, MixedBasisError, ParseError
 from gop.exact_arith import Poly, RatFn, is_prime
 from gop.local_analysis import APPARENT_ORDER_MAX
 
@@ -56,6 +57,16 @@ GOLDEN_CASES = {
 def load_schema(command):
     with resources.files("gop.schemas").joinpath(f"{command}.json").open() as fh:
         return json.load(fh)
+
+
+def validate_usage_error(env):
+    validate(env, load_schema("error"))
+    assert "error_kind" not in env, env
+
+
+def validate_domain_error(env, kind):
+    validate(env, load_schema("error"))
+    assert env["error_kind"] == kind, env
 
 
 # -- grammar
@@ -145,10 +156,35 @@ def test_exit_codes():
     assert code == 1 and "error" in env
     code, env = run_command(["pcurv", "D - 1/(2*z)", "--prime", "2"])
     assert code == 2 and env["error_kind"] == "BadPrime"
+    validate_domain_error(env, "BadPrime")
     code, env = run_command(["exponents", "D - 1", "--point", "inf"])
     assert code == 2 and env["error_kind"] == "IrregularPoint"
-    code, _ = run_command(["scan", "--primes", "bad"])
+    validate_domain_error(env, "IrregularPoint")
+    code, env = run_command(["scan", "--primes", "bad"])
     assert code == 1
+    validate_usage_error(env)
+
+
+def test_error_schema_names_every_domain_error():
+    kinds = load_schema("error")["properties"]["error_kind"]["enum"]
+    domain = {cls.__name__ for cls in DomainError.__subclasses__()}
+    assert set(kinds) == domain | {"InternalError"} and len(kinds) == len(set(kinds))
+
+
+def test_unexpected_exception_gives_an_internal_error_envelope(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("a fault of the command itself")
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", broken)
+    code, env = run_command(["classify", "D"])
+    assert code == 2 and env["command"] == "classify"
+    validate_domain_error(env, "InternalError")
+    assert env["error"] == "RuntimeError: a fault of the command itself"
+    assert "Traceback" in capsys.readouterr().err
+    assert main(["classify", "D"]) == 2
+    out = capsys.readouterr()
+    validate_domain_error(json.loads(out.out), "InternalError")
+    assert "RuntimeError" in out.err
 
 
 def test_scan_badprime_inline_not_fatal():
@@ -215,7 +251,7 @@ def test_argparse_errors_give_usage_envelopes(capsys):
     for argv, command in cases.items():
         code, env = run_command(list(argv))
         assert code == 1 and env["command"] == command, argv
-        validate(env, USAGE_ERROR_SCHEMA)
+        validate_usage_error(env)
     assert main(["classify", "-z*D+1"]) == 1
     assert json.loads(capsys.readouterr().out)["command"] == "classify"
     # --help prints the usage and succeeds, with no envelope
@@ -255,24 +291,11 @@ def _run_in_child(cases):
 
 
 # the envelope of a UsageError, exit code 1
-USAGE_ERROR_SCHEMA = {
-    "type": "object",
-    "required": ["tool", "version", "command", "error"],
-    "additionalProperties": False,
-    "properties": {
-        "tool": {"const": "gop"},
-        "version": {"type": "string"},
-        "command": {"type": "string"},
-        "error": {"type": "string"},
-    },
-}
-
-
 def _assert_usage_errors(cases):
     for argv, (code, has_error, seconds, env) in zip(cases, _run_in_child(cases)):
         assert code == 1 and has_error, argv
         assert seconds < 5, argv
-        validate(env, USAGE_ERROR_SCHEMA)
+        validate_usage_error(env)
 
 
 def test_prime_validated_at_boundary():

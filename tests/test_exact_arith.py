@@ -19,7 +19,6 @@ from gop.exact_arith import (
     is_prime,
     poly_gcd,
     primes_upto,
-    vp_fraction,
 )
 from oracles import (
     kummer_vp_factorial,
@@ -27,6 +26,7 @@ from oracles import (
     resultant,
     schoolbook_product,
     series_gauss_valuation,
+    vp_fraction,
 )
 
 PRIMES = (2, 3, 5)
@@ -218,6 +218,26 @@ def test_products_match_schoolbook():
                 want = schoolbook_product(f.coeffs, pb.coeffs, order)
                 assert f.mul_poly(pb).coeffs == tuple(want), (f, b)
                 assert f.mul_poly(pb).trunc_order == order
+
+
+def test_poly_canonical_form():
+    # integer numerators over one positive denominator, coprime to their
+    # content, no trailing zero; equality and hashing read that form
+    cases = [
+        (Poly([Fraction(1, 2), Fraction(1, 3)]), (3, 2), 6),
+        (Poly([2, 4], 6), (1, 2), 3),
+        (Poly([-1, 0], -2), (1,), 2),
+        (Poly(["3/4", 0, 0]), (3,), 4),
+        (Poly([0, 0], 5), (), 1),
+        (Poly([Fraction(2, 3), 4]) * Fraction(3, 2), (1, 6), 1),
+    ]
+    for p, nums, den in cases:
+        assert (p.nums, p.den) == (nums, den), p
+        assert p == Poly([Fraction(c, den) for c in nums]) and hash(p) == hash(Poly(p.coeffs))
+    assert Poly([Fraction(1, 2)]) == Poly([1], 2) == Fraction(1, 2)
+    assert Poly([1, 1], 2).coeffs == (Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        Poly([1], 0)
 
 
 def test_rational_roots_and_squarefree():

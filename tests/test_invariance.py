@@ -1,9 +1,19 @@
-"""Invariances of the p-curvature scan: a gauge change G -> P G P^-1 + P' P^-1
-by a unimodular polynomial P conjugates the p-curvature, and a twist
-G -> G + (lam/z) I adds the p-curvature of lam/z, which is 0 mod p.  Either
-keeps the verdict and the nilpotence index at every prime good for both
-sides (Katz 1970; Dwork-Gerotto-Sullivan, An Introduction to G-functions,
-1994).  The scan compares gop with itself, so it needs no oracle."""
+"""Invariances of the p-curvature scan and of the local data.
+
+A gauge change G -> P G P^-1 + P' P^-1 by a unimodular polynomial P
+conjugates the p-curvature, and a twist G -> G + (lam/z) I adds the
+p-curvature of lam/z, which is 0 mod p.  Either keeps the verdict and the
+nilpotence index at every prime good for both sides (Katz 1970;
+Dwork-Gerotto-Sullivan, An Introduction to G-functions, 1994).
+
+A Moebius change of variable z = phi(w) is a local isomorphism at every
+point, infinity included, so the singular points of the new operator are the
+preimages of the old ones and each keeps its regularity and exponents.  The
+twist x = z^lam y multiplies a solution by u^lam at 0 (u = z) and by
+u^(-lam) at infinity (u = 1/z), and by a unit elsewhere: it shifts the
+exponents at 0 by lam and at infinity by -lam, and leaves every other point
+alone.  These tests compare gop with itself through the transform, so they
+need no oracle."""
 
 import random
 from fractions import Fraction
@@ -12,10 +22,12 @@ import pytest
 
 from gop.catalog import catalog_get, hypergeom_operator
 from gop.cli import parse_operator
-from gop.diffop import RatMat, companion
+from gop.diffop import INFINITY, RatMat, companion
+from gop.errors import IrregularPoint
 from gop.exact_arith import Poly, RatFn, primes_upto
+from gop.local_analysis import classify_operator, exponents, indicial_data
 from gop.p_curvature import global_scan
-from oracles import gauge, twist
+from oracles import gauge, substitute, twist, twist_operator
 
 
 def _subject(entry_id):
@@ -68,3 +80,88 @@ def test_scan_invariant_under_gauge_and_twist(label, subject):
                     label, name, r.prime)
                 compared += 1
     assert compared >= 10 * (1 if g.n == 1 else 4)
+
+
+# ---------------------------------------------------------------------------
+# local data under Moebius maps and twists
+
+# the catalog's systems enter by their operators; the last subject has an
+# algebraic class of singular points
+OPERATORS = [
+    (label, catalog_get(label).operator if isinstance(subject, RatMat) else subject)
+    for label, subject in SUBJECTS
+] + [("(z^2-2)*D-1", parse_operator("(z^2-2)*D - 1"))]
+
+
+def _one_minus(x):
+    return x if x is INFINITY else 1 - x
+
+
+def _inverse(x):
+    return Fraction(0) if x is INFINITY else INFINITY if x == 0 else 1 / x
+
+
+# z = phi(w) as (a, b, c, d).  Both maps are involutions, so the point z
+# moves to w = phi(z), and the class of the roots of a monic f to that of
+# the roots of the monic numerator of f(phi(w))
+MOBIUS = {
+    "1-z": ((-1, 1, 0, 1), _one_minus, lambda f: f.compose(Poly([1, -1])).monic()),
+    "1/z": ((0, 1, 1, 0), _inverse, lambda f: f.reversed_coeffs(f.degree).monic()),
+}
+
+
+def _key(data, shift=0):
+    """Regularity, exponents and leftover factors, with the exponents
+    shifted by shift."""
+    factors = sorted((f.shift_argument(-shift) for f in data.nonrational_factors), key=repr)
+    return data.point.regular, tuple(e + shift for e in data.rational_exponents), tuple(factors)
+
+
+def _points(l):
+    return {pt.point.location: pt for pt in classify_operator(l).points}
+
+
+def _data(points, l, x):
+    return points[x] if x in points else indicial_data(l, x)
+
+
+def _exponents(l, x):
+    try:
+        rationals, factors = exponents(l, x)
+    except IrregularPoint:
+        return None
+    return rationals, sorted(factors, key=repr)
+
+
+@pytest.mark.parametrize("name", MOBIUS)
+@pytest.mark.parametrize("label, l", OPERATORS, ids=[label for label, _ in OPERATORS])
+def test_local_data_move_with_a_mobius_map(label, l, name):
+    abcd, move, move_class = MOBIUS[name]
+    m = substitute(l, *abcd)
+    src, dst = _points(l), _points(m)
+    classes = {x for x in src if isinstance(x, Poly)}
+    assert {y for y in dst if isinstance(y, Poly)} == {move_class(f) for f in classes}, (label, name)
+    for f in classes:
+        assert _key(dst[move_class(f)]) == _key(src[f]), (label, name, f)
+    points = {x for x in src if not isinstance(x, Poly)}
+    points |= {move(y) for y in dst if not isinstance(y, Poly)}
+    for x in points:
+        y = move(x)
+        # a finite point that stays finite is singular on both sides or on neither
+        if x is not INFINITY and y is not INFINITY:
+            assert (x in src) == (y in dst), (label, name, x)
+        assert _key(_data(dst, m, y)) == _key(_data(src, l, x)), (label, name, x)
+    for x in (Fraction(0), Fraction(1), INFINITY):
+        assert _exponents(m, move(x)) == _exponents(l, x), (label, name, x)
+
+
+@pytest.mark.parametrize("label, l", OPERATORS, ids=[label for label, _ in OPERATORS])
+def test_twist_shifts_the_exponents_at_zero_and_infinity(label, l):
+    rng = random.Random(label)
+    lam = Fraction(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(2, 5))
+    m = twist_operator(l, lam)
+    shift = {Fraction(0): lam, INFINITY: -lam}
+    src, dst = _points(l), _points(m)
+    assert {x for x in src if x != 0} == {y for y in dst if y != 0}, (label, lam)
+    for x in set(src) | set(dst) | set(shift):
+        assert _key(_data(dst, m, x)) == _key(_data(src, l, x), shift.get(x, 0)), (label, lam, x)

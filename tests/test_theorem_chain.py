@@ -8,13 +8,14 @@ condition, equivalent to it (Andre-Bombieri).  Each layer has its own oracle
 elsewhere; these tests check that the p-curvature scan and the Galochkin
 trace agree with each other on the same subjects."""
 
+import random
 from fractions import Fraction
 
 from gop.catalog import catalog_get, hypergeom_operator, polylog_system
 from gop.cli import parse_operator
 from gop.diffop import RatMat, companion
 from gop.exact_arith import primes_upto
-from gop.growth import galochkin_trace
+from gop.growth import cleared_system, galochkin_trace
 from gop.p_curvature import global_scan
 
 SUBJECTS = [
@@ -47,3 +48,42 @@ def test_galochkin_growth_separates_the_globally_nilpotent_subjects():
         if abs(logs[399] - logs[199]) <= LEVEL_CHANGE_MAX:
             levelled.add(label)
     assert nilpotent == levelled == {"gauss2f1", "polylog:2", "order1-half", "2F1(1/4, 1/5; 2/3)"}
+
+
+def _unit_rational(rng):
+    d = rng.randint(2, 6)
+    return Fraction(rng.randint(1, d - 1), d)
+
+
+def _drawn_2f1(rng):
+    a, b, c = (_unit_rational(rng) for _ in range(3))
+    return f"2F1({a}, {b}; {c})", hypergeom_operator([a, b], [c])
+
+
+_LINK_RNG = random.Random(7)
+LINK_SUBJECTS = SUBJECTS + [
+    ("polylog:3 system", polylog_system(3)),
+    ("polylog:3 operator", catalog_get("polylog:3").operator),
+    ("theta^2-1/4-z", parse_operator("theta^2 - 1/4 - z")),
+] + [_drawn_2f1(_LINK_RNG) for _ in range(16)]
+
+
+def test_scan_nilpotent_iff_p_divides_the_content_at_pn():
+    # H_pn = H_p^n mod p, as G_pk = G_p^k mod p, and the nilpotence index is
+    # at most n, so at a good prime p the p-curvature is nilpotent exactly
+    # when H_pn vanishes mod p: the scan's verdict off the modular run and
+    # the content of the run over Z must agree, with no oracle between them
+    primes = primes_upto(100)
+    compared, statuses = 0, set()
+    for label, subject in LINK_SUBJECTS:
+        sys = cleared_system(subject if isinstance(subject, RatMat) else companion(subject))
+        for r in global_scan(subject, primes).reports:
+            if r.status == "BadPrime":
+                continue
+            divides = sys.content(r.prime * sys.n) % r.prime == 0
+            assert divides == (r.status == "Nilpotent"), (label, r.prime, r.status)
+            compared += 1
+            statuses.add(r.status)
+    # 538 Nilpotent and 99 NonNilpotent comparisons
+    assert len(LINK_SUBJECTS) == 27 and compared == 637
+    assert statuses == {"Nilpotent", "NonNilpotent"}
