@@ -2,9 +2,9 @@
 
 Everything here is immutable and pure.  A polynomial is one tuple of integer
 numerators over one positive denominator (index = degree), so its products,
-divisions and gcds run on integers, and this module is the only one that
-decides how Q[z] is stored; rational functions keep a monic, coprime
-denominator.  Valuations follow the logarithmic convention: the Gauss
+divisions and gcds run on integers, and a module that needs integer
+coefficients reads them off the polynomial instead of clearing Fractions
+itself; rational functions keep a monic, coprime denominator.  Valuations follow the logarithmic convention: the Gauss
 absolute value p^(-v) is represented by the integer v, with the zero function
 mapped to :data:`GAUSS_INF`, which is ``math.inf``.
 """
