@@ -145,7 +145,7 @@ def test_poly_ring_operations_match_sympy():
                 a.exact_div(b)
 
 
-def test_poly_normal_forms_match_sympy():
+def test_poly_normal_forms_and_values_match_sympy():
     rng = random.Random(2710)
     for a, _b in _pairs():
         sa = _sp(a)
@@ -157,7 +157,10 @@ def test_poly_normal_forms_match_sympy():
         assert a.primitive() == _gp(prim.to_field()), a
         assert a.monic() == (a if a.is_zero() else _gp(sa.monic())), a
         shift = _rational(rng)
-        assert a.shift_argument(shift) == _gp(sa.shift(sympy.Rational(shift.numerator, shift.denominator))), a
+        at = sympy.Rational(shift.numerator, shift.denominator)
+        assert a.shift_argument(shift) == _gp(sa.shift(at)), a
+        value = sa.eval(at)
+        assert a.evaluate(shift) == Fraction(int(value.p), int(value.q)), (a, shift)
 
 
 def test_poly_gcd_and_lcm_match_sympy():
