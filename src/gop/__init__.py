@@ -67,14 +67,11 @@ _EXPORTS = {
         "GAUSS_INF",
         "Poly",
         "RatFn",
-        "accolade",
         "gauss_valuation",
     ),
     "growth": (
         "bombieri_report",
-        "dwork_robba_check",
         "galochkin_trace",
-        "gs_sequence",
         "h_s_p",
         "log_value",
         "radius_estimate",
@@ -95,7 +92,6 @@ _EXPORTS = {
         "PCurvatureReport",
         "global_scan",
         "is_nilpotent",
-        "katz_honda_check",
         "operator_nilpotence_by_division",
     ),
     "pade": (
@@ -105,7 +101,6 @@ _EXPORTS = {
         "pade_type2",
         "residual_order",
         "shidlovskii_matrix",
-        "verify_similileibniz",
     ),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

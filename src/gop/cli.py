@@ -20,17 +20,39 @@ A layer loads on first use.  `errors`, `exact_arith` and `diffop`, which the
 parser needs, load with the package; `catalog`, `growth`, `local_analysis`,
 `p_curvature` and `pade` are bound here as lazy modules, and each command
 looks their functions up when it runs (`growth.galochkin_trace(...)`), so a
-`gop` child compiles and runs only the layers its command reaches.
+`gop` child compiles and runs only the layers its command reaches:
+
+    classify, exponents                 local_analysis
+    pcurv, scan                         growth, modp, p_curvature
+    galochkin, size, radius, bombieri   growth
+    pade                                pade, growth
+    catalog                             catalog
+
+and `catalog` too for a `--catalog ID`.
+
+The command line is read off one table, _SYNTAX, which gives each command
+its positionals and its flags, each flag with its type and its default:
+
+    gop [--format {json,text}] COMMAND [WORD | --flag VALUE | --flag=VALUE]... [-- WORD...]
+
+`--format` comes before the command and every other flag after it.  A flag
+takes the next word as its value, even one that starts with "-".  Any other
+word that starts with "-" is a flag, unless it is a negative number or
+holds a space, and every word after "--" is a positional.  `-h` or `--help`
+prints the usage built from the table and exits 0 with no envelope.  Any
+other malformed line is a UsageError (exit 1), whose envelope names the
+command once the parser has read it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
+import types
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
@@ -376,7 +398,10 @@ def _parse_primes(text: str) -> list[int]:
     except ValueError as exc:
         raise UsageError(f"bad prime range {text!r}, expected a..b") from exc
     _check_at_most("the top of --primes", hi, SCAN_PRIME_MAX)
-    return [p for p in primes_upto(hi) if p >= lo]
+    primes = [p for p in primes_upto(hi) if p >= lo]
+    if not primes:
+        raise UsageError(f"the range --primes {text} holds no prime")
+    return primes
 
 
 def _check_prime(p: int) -> None:
@@ -518,7 +543,7 @@ def _cmd_scan(args) -> dict:
     else:
         label, subject = _resolve_operator(args)
     g = subject if isinstance(subject, RatMat) else companion(subject)
-    _check_prime_work("the top of --primes", max(primes, default=0), SCAN_PRIME_MAX, g)
+    _check_prime_work("the top of --primes", max(primes), SCAN_PRIME_MAX, g)
     return scan_json(p_curvature.global_scan(subject, primes, subject_id=label))
 
 
@@ -534,6 +559,7 @@ def _cmd_galochkin(args) -> dict:
 def _cmd_size(args) -> dict:
     _check_at_least("--s", args.s, 1)
     _check_at_most("--s", args.s, S_MAX)
+    _check_at_least("--prime-bound", args.prime_bound, 2)
     label, g = _resolve_system(args)
     _check_growth_work("--s", args.s, g)
     value = growth.size_estimate(g, args.s, args.prime_bound)
@@ -564,6 +590,7 @@ def _cmd_radius(args) -> dict:
 def _cmd_bombieri(args) -> dict:
     _check_at_least("--s", args.s, 1)
     _check_at_most("--s", args.s, S_MAX)
+    _check_at_least("--prime-bound", args.prime_bound, 2)
     if not math.isfinite(args.slack):
         raise UsageError(f"--slack must be a finite number, got {args.slack}")
     label, g = _resolve_system(args)
@@ -662,59 +689,101 @@ _COMMANDS = {
 }
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """An argparse parser whose errors raise UsageError, so that a malformed
-    command line ends in the usage envelope like any other usage error."""
+# the command line: command -> (positionals, flags).  A positional ending in
+# "?" may be left out; a flag maps to (type, default), and the default ...
+# marks a required flag.  Each sets the attribute of its name, without the
+# leading dashes and with "_" for "-" ("--prime-bound" sets prime_bound).
+_OPERAND = {"--catalog": (str, None)}
+_SYNTAX = {
+    "classify": (("expr?",), _OPERAND),
+    "exponents": (("expr?",), _OPERAND | {"--point": (str, ...)}),
+    "pcurv": (("expr?",), _OPERAND | {"--prime": (int, ...)}),
+    "scan": (("expr?",), _OPERAND | {"--primes": (str, "2..50")}),
+    "galochkin": (("expr?",), _OPERAND | {"--smax": (int, 30)}),
+    "size": (("expr?",), _OPERAND | {"--s": (int, ...), "--prime-bound": (int, ...)}),
+    "radius": (("expr?",), _OPERAND | {"--prime": (int, ...), "--smax": (int, ...)}),
+    "bombieri": (("expr?",), _OPERAND | {"--s": (int, ...), "--prime-bound": (int, ...), "--slack": (float, 0.3)}),
+    "pade": ((), {"--series": (str, None), "--catalog": (str, None), "--N": (int, ...), "--M": (int, ...)}),
+    "catalog": (("action", "id?"), {}),
+}
+_TOP_FLAGS = {"--format": (str, "json")}
+_CHOICES = {"format": ("json", "text"), "action": ("list", "get"), "command": tuple(_SYNTAX)}
+# as for argparse, a word with a space or a negative number is never a flag
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
-    def error(self, message):
-        raise UsageError(message)
+
+def _is_flag(word: str) -> bool:
+    return len(word) > 1 and word[0] == "-" and " " not in word and not _NEGATIVE_NUMBER.fullmatch(word)
 
 
-def _build_argparser() -> argparse.ArgumentParser:
-    top = _ArgumentParser(prog="gop", description="exact analysis of linear differential operators over Q(z)")
-    top.add_argument("--format", choices=("json", "text"), default="json")
-    sub = top.add_subparsers(dest="command", required=True)
+def _attr(name: str) -> str:
+    return name.lstrip("-").replace("-", "_").rstrip("?")
 
-    def with_operator(p):
-        p.add_argument("expr", nargs="?", help="operator expression")
-        p.add_argument("--catalog", help="catalog id instead of an expression")
 
-    p = sub.add_parser("classify")
-    with_operator(p)
-    p = sub.add_parser("exponents")
-    with_operator(p)
-    p.add_argument("--point", required=True)
-    p = sub.add_parser("pcurv")
-    with_operator(p)
-    p.add_argument("--prime", type=int, required=True)
-    p = sub.add_parser("scan")
-    with_operator(p)
-    p.add_argument("--primes", default="2..50")
-    p = sub.add_parser("galochkin")
-    with_operator(p)
-    p.add_argument("--smax", type=int, default=30)
-    p = sub.add_parser("size")
-    with_operator(p)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--prime-bound", type=int, required=True, dest="prime_bound")
-    p = sub.add_parser("radius")
-    with_operator(p)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--smax", type=int, required=True)
-    p = sub.add_parser("bombieri")
-    with_operator(p)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--prime-bound", type=int, required=True, dest="prime_bound")
-    p.add_argument("--slack", type=float, default=0.3)
-    p = sub.add_parser("pade")
-    p.add_argument("--series", help="JSON series-vector file")
-    p.add_argument("--catalog", help="catalog id with a system")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p = sub.add_parser("catalog")
-    p.add_argument("action", choices=("list", "get"))
-    p.add_argument("id", nargs="?")
-    return top
+def _choice(name: str, value):
+    if value not in _CHOICES.get(_attr(name), (value,)):
+        raise UsageError(f"argument {_attr(name)}: invalid choice: {value!r}")
+    return value
+
+
+def _usage(command: str = "") -> str:
+    lines = [f"usage: gop [--format {{json,text}}] {command or 'COMMAND'} ..."]
+    for name in [command] if command else _SYNTAX:
+        positionals, flags = _SYNTAX[name]
+        words = ["{" + ",".join(_CHOICES[p]) + "}" if p in _CHOICES else f"[{_attr(p).upper()}]" for p in positionals]
+        words += [f"{f} {_attr(f).upper()}" if d is ... else f"[{f} {_attr(f).upper()}]" for f, (_, d) in flags.items()]
+        lines.append("  " + " ".join([name, *words]))
+    return "\n".join(lines)
+
+
+def _parse_args(argv, args) -> bool:
+    """Set args.format, args.command and the command's attributes from argv
+    by _SYNTAX; False when -h or --help printed the usage instead.  A
+    malformed line raises UsageError, args.command set as soon as the
+    command is read.  Unknown flags and extra positionals are reported only
+    at the end, so that a later --help still prints the usage."""
+    args.format, positionals, flags = "json", (), _TOP_FLAGS
+    free, extra = [], []
+
+    def positional(word):
+        free.append(_choice(positionals[len(free)], word) if len(free) < len(positionals) else word)
+
+    words = iter(argv)
+    for word in words:
+        name, eq, value = word.partition("=")
+        if word in ("-h", "--help"):
+            print(_usage(args.command))
+            return False
+        if name in flags:
+            kind = flags[name][0]
+            try:
+                value = value if eq else next(words)
+                setattr(args, _attr(name), _choice(name, kind(value)))
+            except (StopIteration, ValueError):
+                raise UsageError(f"argument {name}: expected one {kind.__name__} value") from None
+        elif word == "--" and positionals:
+            for word in words:
+                positional(word)
+        elif _is_flag(word) and (word != "--" or args.command):
+            extra.append(word)
+        elif not args.command:
+            args.command = _choice("command", word)
+            positionals, flags = _SYNTAX[word]
+        else:
+            positional(word)
+    if not args.command:
+        raise UsageError("the following arguments are required: COMMAND")
+    missing = [p for p in positionals[len(free):] if not p.endswith("?")]
+    missing += [f for f, (_, d) in flags.items() if d is ... and not hasattr(args, _attr(f))]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    for name, value in zip(positionals, free + [None] * len(positionals)):
+        setattr(args, _attr(name), value)
+    for name, (_, default) in flags.items():
+        vars(args).setdefault(_attr(name), default)
+    if extra or free[len(positionals):]:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra + free[len(positionals):])}")
+    return True
 
 
 def _render_text(value, indent=0) -> list[str]:
@@ -743,14 +812,12 @@ def run_command(argv, emit=None) -> tuple[int, dict]:
     """Dispatch one command; returns (exit code, envelope).  With emit, the
     envelope is also rendered in the --format the command line asks for and
     handed to emit as one string."""
-    # the subcommand is recorded here as soon as argparse reaches it, so an
-    # error in its arguments names it and an earlier error names none
-    args = argparse.Namespace(command="")
+    # the command is recorded as soon as the parser reads it, so an error in
+    # its arguments names it and an earlier error names none
+    args = types.SimpleNamespace(command="")
     try:
-        _build_argparser().parse_args(argv, args)
-    except SystemExit:
-        # --help printed the usage
-        return 0, {}
+        if not _parse_args(argv, args):
+            return 0, {}
     except UsageError as exc:
         code, envelope = 1, _error_envelope(args.command, exc)
     else:

@@ -11,8 +11,9 @@ bookkeeping.  It holds no series solver, does not apply operators to series
 and does not translate operators to other points: local_analysis reads
 every point, infinity included, off the cleared coefficients of the
 companion system, and power-series solutions come from
-local_analysis.regular_series_solutions.  The derived matrices G_s of a
-system live in growth, which reads them off the cleared integer recurrence.
+local_analysis.regular_series_solutions.  RatMat has no arithmetic: the
+derived matrices G_s of a system are never formed, and growth reads what it
+needs off the cleared integer recurrence for H_s = T^s G_s.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import InsufficientTruncation
 from .exact_arith import (
     Poly,
     RatFn,
@@ -250,49 +250,6 @@ class RatMat:
     def __hash__(self):
         return hash(self.entries)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __add__(self, other: "RatMat"):
-        return RatMat(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
-
-    def __mul__(self, other: "RatMat"):
-        n = self.n
-        return RatMat(
-            [
-                [
-                    sum(
-                        (self.entries[i][k] * other.entries[k][j] for k in range(n)),
-                        RatFn.ZERO,
-                    )
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-
-    def scaled(self, r) -> "RatMat":
-        r = as_ratfn(r)
-        return RatMat([[r * e for e in row] for row in self.entries])
-
-    def derivative(self) -> "RatMat":
-        return RatMat([[e.derivative() for e in row] for row in self.entries])
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def mat_vec(self, vec: Sequence[RatFn]) -> list[RatFn]:
-        return [
-            sum((self.entries[i][k] * vec[k] for k in range(self.n)), RatFn.ZERO)
-            for i in range(self.n)
-        ]
-
     def __repr__(self):
         return f"RatMat({[[repr(e) for e in row] for row in self.entries]})"
 
@@ -346,25 +303,9 @@ class TruncatedSeries:
                 return i
         return None
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.trunc_order:
-            raise InsufficientTruncation(f"known only to order {self.trunc_order}")
-        return TruncatedSeries(self.coeffs[:order])
-
-    def derivative(self) -> "TruncatedSeries":
-        return TruncatedSeries([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __add__(self, other: "TruncatedSeries"):
-        m = min(self.trunc_order, other.trunc_order)
-        return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(m)])
-
     def __sub__(self, other: "TruncatedSeries"):
         m = min(self.trunc_order, other.trunc_order)
         return TruncatedSeries([self.coeffs[i] - other.coeffs[i] for i in range(m)])
-
-    def scaled(self, c) -> "TruncatedSeries":
-        c = as_fraction(c)
-        return TruncatedSeries([c * a for a in self.coeffs])
 
     def mul_poly(self, p: Poly) -> "TruncatedSeries":
         """The product with p, known to the same order: Poly's integer

@@ -41,19 +41,6 @@ def vp_int(n: int, p: int) -> int:
     return v
 
 
-def accolade(s: int, m: int, p: int) -> int:
-    """Valuation of the largest inverse p-part of a product of m distinct
-    integers in 1..s: returns -(sum of the m largest v_p values).
-
-    Convention: m = 0 gives 0.  When m exceeds s, all available integers are
-    used.  The absolute value is p^(-returned value).
-    """
-    if m <= 0 or s <= 0:
-        return 0
-    vals = sorted((vp_int(k, p) for k in range(1, s + 1)), reverse=True)
-    return -sum(vals[: min(m, s)])
-
-
 def primes_upto(n: int) -> list[int]:
     """Primes <= n by sieve."""
     if n < 2:
@@ -302,12 +289,6 @@ class Poly:
     def shift_argument(self, a) -> "Poly":
         """p(z + a)."""
         return self.compose(Poly([as_fraction(a), 1]))
-
-    def reversed_coeffs(self, length: int) -> "Poly":
-        """z^length * p(1/z); requires length >= degree."""
-        if length < self.degree:
-            raise ValueError("length must be at least the degree")
-        return _poly([0] * (length - self.degree) + list(reversed(self.nums)), self.den)
 
     # -- content, roots, factor tools
 
@@ -605,52 +586,6 @@ class RatFn:
         if d == 0:
             raise ZeroDivisionError(f"pole at {a}")
         return self.num.evaluate(a) / d
-
-    def order_at(self, a) -> int:
-        """Order of vanishing at z = a (negative for a pole); raises on 0."""
-        if self.is_zero():
-            raise ValueError("zero function")
-        return self.num.root_multiplicity(a) - self.den.root_multiplicity(a)
-
-    def order_at_zero(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero function")
-        return self.num.valuation_at_zero() - self.den.valuation_at_zero()
-
-    def order_at_infinity(self) -> int:
-        """Order of vanishing at infinity = deg den - deg num."""
-        if self.is_zero():
-            raise ValueError("zero function")
-        return self.den.degree - self.num.degree
-
-    def shift_argument(self, a) -> "RatFn":
-        """f(z + a)."""
-        return RatFn(self.num.shift_argument(a), self.den.shift_argument(a))
-
-    def invert_argument(self) -> "RatFn":
-        """f(1/z)."""
-        if self.is_zero():
-            return self
-        m = max(self.num.degree, self.den.degree)
-        return RatFn(self.num.reversed_coeffs(m), self.den.reversed_coeffs(m))
-
-    def laurent_at_zero(self, terms: int) -> tuple[int, list[Fraction]]:
-        """(valuation v, [c_0..c_{terms-1}]) with f = z^v (c_0 + c_1 z + ...),
-        c_0 nonzero.  The zero function returns (0, zeros)."""
-        if self.is_zero():
-            return 0, [Fraction(0)] * terms
-        vn = self.num.valuation_at_zero()
-        vd = self.den.valuation_at_zero()
-        ncs = list(self.num.coeffs[vn:])
-        dcs = list(self.den.coeffs[vd:])
-        out: list[Fraction] = []
-        inv0 = 1 / dcs[0]
-        for k in range(terms):
-            acc = ncs[k] if k < len(ncs) else Fraction(0)
-            for j in range(1, min(k, len(dcs) - 1) + 1):
-                acc -= dcs[j] * out[k - j]
-            out.append(acc * inv0)
-        return vn - vd, out
 
     def __repr__(self):
         return f"RatFn({ratfn_text(self)})"

@@ -7,16 +7,15 @@ which satisfies the polynomial recurrence
 
 and stays integer for the integer T of cleared_system.  _step is the one
 implementation of this step, over Z and, given a modulus, over Z/m:
-gs_sequence reads G_s = H_s / T^s off it, pade.derived_tower runs it on a
-row vector with TG replaced by -(TG)^T, the p-adic quantities below read the
-contents of its H_s, and modp.ClearedSequenceMod runs it mod m until numpy
-pays for itself.
+pade.derived_tower runs it on a row vector with TG replaced by -(TG)^T, the
+p-adic quantities below read the contents of its H_s, and
+modp.ClearedSequenceMod runs it mod m until numpy pays for itself.
 
 Every p-adic quantity is read off H_s, for all primes at once, through two
 integers per s: r_s = s!/gcd(s!, c_s), c_s the content of H_s, and the
 Galochkin denominator q_s = lcm(r_1, ..., r_s).  As
-v_p(r_s) = max(0, v_p(s!) - v_p(c_s)), h(s, p) = v_p(q_s), each Hadamard
-term is v_p(r_s)/s and the Dwork-Robba left side, cut at 0, is -v_p(r_s).
+v_p(r_s) = max(0, v_p(s!) - v_p(c_s)), h(s, p) = v_p(q_s) and each
+Hadamard term is v_p(r_s)/s.
 v(H_s) = s v(T) + v(G_s) for the Gauss valuation v at p, and content(T) is
 not 1 in general (4 for gauss2f1's companion), so these are the quantities
 of G_s only at the primes where G reduces (p_curvature._is_bad); at the
@@ -46,7 +45,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .diffop import RatMat
-from .exact_arith import Poly, RatFn, accolade, as_ratfn, poly_lcm, primes_upto, vp_int
+from .exact_arith import Poly, as_ratfn, poly_lcm, primes_upto, vp_int
 
 
 class _IntSystem:
@@ -199,25 +198,6 @@ def cleared_system(g: RatMat) -> _IntSystem:
     return sys
 
 
-def gs_sequence(g: RatMat, s_max: int) -> list[RatMat]:
-    """[G_1, ..., G_s_max] with G_1 = G and G_{s+1} = G_s G + G_s', read off
-    the cleared sequence as G_s = H_s / T^s in lowest terms.  It steps its
-    own full block H_s from H_1 = TG: cleared_system keeps only the rows its
-    contents need."""
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
-    sys = cleared_system(g)
-    t = Poly(sys.t)
-    ts = t
-    h = sys.tg
-    out = [RatMat([[RatFn(Poly(c), ts) for c in row] for row in h])]
-    for s in range(1, s_max):
-        h = _step(h, s, sys.t, sys.tg)
-        ts = ts * t
-        out.append(RatMat([[RatFn(Poly(c), ts) for c in row] for row in h]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Galochkin trace
 
@@ -243,7 +223,7 @@ def galochkin_trace(g: RatMat, s_max: int) -> GalochkinTrace:
 
 
 # ---------------------------------------------------------------------------
-# size, radius, Dwork-Robba, Bombieri
+# size, radius, Bombieri
 
 
 def log_value(table: dict) -> float:
@@ -283,21 +263,6 @@ def radius_estimate(g: RatMat, p: int, s_max: int, s_min: int | None = None) -> 
     if s_max < lo:
         raise ValueError("window is empty")
     return max(Fraction(vp_int(sys.r(s), p), s) for s in range(lo, s_max + 1))
-
-
-def dwork_robba_check(g: RatMat, p: int, s_max: int) -> list[bool]:
-    """Exact valuation form of the derivative bounds for systems:
-    v(G_s/s!) >= accolade(s, n-1, p) + min over 0 <= i <= n-1 of v(G_i),
-    for s = 1..s_max (G_0 = identity).  Returns one verdict per s.
-
-    Read off H_i (module docstring), every v(G_i) is >= 0, so the minimum is
-    0; and as accolade <= 0, the left side may be cut at 0 to -v_p(r_s).
-
-    Meaningful for n >= 2 systems whose fundamental solutions are analytic
-    on the generic unit disk; the n = 1 bound degenerates (v(1/s!) < 0).
-    """
-    sys = cleared_system(g)
-    return [-vp_int(sys.r(s), p) >= accolade(s, sys.n - 1, p) for s in range(1, s_max + 1)]
 
 
 class SizeRadiusReport(NamedTuple):

@@ -23,13 +23,14 @@ Every pole profile lists (j, ord b_n - ord b_{n-j}) in ascending j.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple, Optional
 
-from .diffop import DiffOp, INFINITY, companion, is_infinity
+from .diffop import DiffOp, INFINITY, change_basis, is_infinity
 from .errors import IrregularPoint, UsageError
-from .exact_arith import Poly, as_fraction, falling_factorial_poly, poly_det, poly_gcd
-from .growth import cleared_system
+from .exact_arith import Poly, as_fraction, falling_factorial_poly, poly_det, poly_gcd, poly_lcm
 
 
 class SingularPoint(NamedTuple):
@@ -64,10 +65,18 @@ class OperatorProfile(NamedTuple):
 
 
 def _cleared_coeffs(l: DiffOp) -> list[Poly]:
-    """[b_0, ..., b_n], read off the cleared system (T, TG) of companion(L):
-    up to one common sign, the primitive integer coefficients of L."""
-    sys = cleared_system(companion(l))
-    return [-Poly(c) for c in sys.tg[-1]] + [Poly(sys.t)]
+    """[b_0, ..., b_n]: the D form of L cleared to the primitive integer
+    vector whose b_n has a positive leading coefficient.  That vector is
+    unique, so it is also the one the cleared system (T, TG) of companion(L)
+    gives, with b_n = T and b_j = -(TG)[n-1][j]."""
+    cs = change_basis(l).coeffs
+    den = reduce(poly_lcm, (c.den for c in cs))
+    b = [c.num * den.exact_div(c.den) for c in cs]
+    g = reduce(poly_gcd, b)
+    b = [p.exact_div(g) for p in b]
+    d = math.lcm(*(p.den for p in b))
+    scale = Fraction(d, math.gcd(*(c * (d // p.den) for p in b for c in p.nums)))
+    return [p * (scale if b[-1].nums[-1] > 0 else -scale) for p in b]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ carry coefficients as large as M.
 
 The reduction map follows the Gauss-valuation convention: a rational function
 reduces mod p iff its Gauss valuation is >= 0, after normalizing the
-denominator to unit content.
+denominator to unit content.  No command runs it: the tests reduce by
+``reduce_ratfn_mod_p``, and ``bench/spans.py`` counts its calls.
 """
 
 from __future__ import annotations
@@ -135,9 +136,6 @@ class FpMat:
             [_unpack(sum(left[i][k] * right[k][j] for k in range(n)), width, p) for j in range(n)]
             for i in range(n)
         ])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FpMat) and self.prime == other.prime and self.entries == other.entries
 
     def __repr__(self):
         return f"FpMat(prime={self.prime}, {self.entries})"

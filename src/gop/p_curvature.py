@@ -7,7 +7,7 @@ is bad exactly when T = 0 mod p: ``_is_bad`` checks that identity, and
 p-curvature of y' = Gy is read off H_p = T^p G_p mod p; T is nonzero mod p,
 and F_p[z] is a domain, so c H_p for any nonzero c in F_p[z] has G_p's
 nilpotence verdict and index: (c H_p)^k = c^k H_p^k vanishes exactly when
-G_p^k does.  ``nilpotence_valuation_bound`` runs the same engine modulo p^s.
+G_p^k does.
 
 Each scan subject steps one sequence.  A system steps H_s and reads H_p.  An
 operator L of order n steps only the row e_0 of its companion system from
@@ -29,12 +29,6 @@ sum of all of them.  ``prime_report`` is the one-prime case;
 ``p_curvature`` and ``operator_nilpotence_by_division`` run one prime on its
 own modulus, and the tests check the scan against them.
 
-Katz's indicial test (katz_honda_check) reads local_analysis's Frobenius
-rule at 0 off the monic D form reduced mod p, and asks whether the indicial
-polynomial splits over F_p.  It reduces the Q(z) coefficients with
-``modp.reduce_ratfn_mod_p``, which stays in src because ``bench/spans.py``
-counts its calls and ``tests/test_bench_spans.py`` requires its name.
-
 Matrices over F_p[z] are ``FpMat`` [row][col] coefficient lists, multiplied
 by Kronecker substitution.  numpy is loaded only once a process has done
 about one numpy import's worth of list steps, and only at a modulus where
@@ -47,11 +41,9 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .diffop import DiffOp, RatMat, companion
-from .errors import BadPrime, IrregularPoint
-from .exact_arith import falling_factorial_poly
+from .errors import BadPrime
 from .growth import _IntSystem, cleared_system
-from .local_analysis import _frobenius
-from .modp import ClearedSequenceMod, FpMat, _reduce, reduce_poly_mod_p, reduce_ratfn_mod_p
+from .modp import ClearedSequenceMod, FpMat, _reduce
 
 
 def _is_bad(sys: _IntSystem, p: int) -> bool:
@@ -115,77 +107,6 @@ def operator_nilpotence_by_division(l: DiffOp, p: int) -> bool:
     seq = ClearedSequenceMod(sys.t, sys.tg, p, start=start, s=0)
     seq.goto(p * g.n)
     return seq.is_zero()
-
-
-def _divide_root(f: list[int], a: int, p: int) -> tuple[list[int], int]:
-    """Synthetic division of f (low degree first) by z - a mod p."""
-    acc, out = 0, []
-    for coeff in reversed(f):
-        acc = (acc * a + coeff) % p
-        out.append(acc)
-    rem = out.pop()
-    return out[::-1], rem
-
-
-def _order_at_zero(f: list[int]):
-    return next((i for i, c in enumerate(f) if c), math.inf)
-
-
-def katz_honda_check(l: DiffOp, p: int) -> bool:
-    """True iff the mod-p indicial polynomial at 0 splits over F_p.
-
-    Necessary for nilpotence when 0 is regular singular for the reduction;
-    raises IrregularPoint when it is not, BadPrime when a coefficient of the
-    monic D form does not reduce mod p."""
-    g = companion(l)
-    reduced = [reduce_ratfn_mod_p(-c, p) for c in g.entries[-1]] + [([1], [1])]
-    ords = [_order_at_zero(num) - _order_at_zero(den) if num else None for num, den in reduced]
-    regular, _, leading = _frobenius(ords, -1)
-    if not regular:
-        raise IrregularPoint("0 is not regular singular for the reduction")
-    phi = [0] * (g.n + 1)
-    for j in leading:
-        # the j-th term of L z^y at z^y is (a_j / z^(ord a_j))(0) y(y-1)...(y-j+1)
-        num, den = reduced[j]
-        c = num[_order_at_zero(num)] * pow(den[_order_at_zero(den)], -1, p)
-        for d, f in enumerate(reduce_poly_mod_p(falling_factorial_poly(j), p)):
-            phi[d] = (phi[d] + c * f) % p
-    for a in range(p):
-        while len(phi) > 1:
-            quo, rem = _divide_root(phi, a, p)
-            if rem:
-                break
-            phi = quo
-    return len(phi) == 1
-
-
-def relation_gp_power_holds(g: RatMat, p: int, k_max: int) -> bool:
-    """G_{pk} mod p == (G_p mod p)^k for k <= k_max, compared through the
-    cleared polynomial forms (H_{pk} == H_p^k since both carry T^(pk))."""
-    hp = p_curvature(g, p)
-    sys = cleared_system(g)
-    seq = ClearedSequenceMod(sys.t, sys.tg, p, start=hp.entries, s=p)
-    power = hp
-    for k in range(2, k_max + 1):
-        power = power * hp
-        if power != FpMat(p, seq.goto(p * k)):
-            return False
-    return True
-
-
-def nilpotence_valuation_bound(g: RatMat, p: int, s_upto: int = 3) -> bool:
-    """For a system nilpotent mod p, certify v(G_{pns}) >= s for s <= s_upto
-    (the sigma read off v(G_{pn}) >= 1).  Runs the cleared recurrence modulo
-    p^s_upto and tests every coefficient of the block at once.  BadPrime
-    when G does not reduce mod p."""
-    sys = _good_cleared_system(g, p)
-    n = sys.n
-    modulus = p**s_upto
-    seq = ClearedSequenceMod(sys.t, sys.tg, modulus)
-    for s in range(1, s_upto + 1):
-        if any(c % p**s for row in seq.goto(p * n * s) for poly in row for c in poly):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

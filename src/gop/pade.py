@@ -16,8 +16,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .diffop import RatMat, TruncatedSeries
 from .errors import InsufficientTruncation, NoSolution
-from .exact_arith import Poly, RatFn, as_ratfn, poly_det
-from .growth import _step, cleared_system, gs_sequence
+from .exact_arith import Poly, poly_det
+from .growth import _step, cleared_system
 
 
 def _kernel_basis(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
@@ -183,37 +183,6 @@ def shidlovskii_matrix(tower: Sequence[Sequence[Poly]]) -> tuple[list[list[Poly]
         raise ValueError("tower must contain at least n vectors")
     r0 = [[tower[j][i] for j in range(n)] for i in range(n)]
     return r0, poly_det(r0)
-
-
-def verify_similileibniz(g: RatMat, ps: Sequence[Poly], s_max: int) -> bool:
-    """Exact check in Q(z)^n of the rearranged Leibniz identity
-    (G_s/s!) P = sum_j ((-1)^j / ((s-j)! j!)) D^(s-j) (D-G)^j P for s <= s_max."""
-    n = g.n
-    pvec = [as_ratfn(p) for p in ps]
-    gs = gs_sequence(g, s_max)
-    # iterated derivatives of (D-G)^j P, filled on demand
-    v: list[list[list[RatFn]]] = [[pvec]]
-    for j in range(s_max):
-        last = v[-1][0]
-        nxt = [last[i].derivative() for i in range(n)]
-        gv = g.mat_vec(last)
-        v.append([[nxt[i] - gv[i] for i in range(n)]])
-    for j in range(s_max + 1):
-        while len(v[j]) <= s_max - j:
-            prev = v[j][-1]
-            v[j].append([c.derivative() for c in prev])
-    for s in range(1, s_max + 1):
-        lhs = gs[s - 1].mat_vec(pvec)
-        fact_s = math.factorial(s)
-        lhs = [c * Fraction(1, fact_s) for c in lhs]
-        rhs = [RatFn.ZERO] * n
-        for j in range(s + 1):
-            scale = Fraction((-1) ** j, math.factorial(s - j) * math.factorial(j))
-            term = v[j][s - j]
-            rhs = [rhs[i] + term[i] * scale for i in range(n)]
-        if any(lhs[i] != rhs[i] for i in range(n)):
-            return False
-    return True
 
 
 class PadeSystem(NamedTuple):

@@ -3,6 +3,9 @@ RatFn / DiffOp arithmetic, independent of the cleared integer recurrence that
 gop runs, helpers the tests compare gop against, and the list of systems
 they are checked on."""
 
+import argparse
+import contextlib
+import io
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -20,25 +23,24 @@ from gop.diffop import (
     op_mul,
     op_sub,
 )
-from gop.errors import BadPrime, InsufficientTruncation, IrregularPoint
+from gop.errors import BadPrime, InsufficientTruncation, IrregularPoint, UsageError
 from gop.exact_arith import (
     GAUSS_INF,
     Poly,
     RatFn,
-    accolade,
     as_fraction,
+    as_ratfn,
     falling_factorial_poly,
     gauss_valuation,
     primes_upto,
     vp_int,
 )
 from gop.growth import _step, cleared_system
-from gop.local_analysis import regular_series_solutions
+from gop.local_analysis import _frobenius, regular_series_solutions
 from gop import modp
-from gop.modp import reduce_ratfn_mod_p
+from gop.modp import ClearedSequenceMod, reduce_poly_mod_p, reduce_ratfn_mod_p
 from gop.p_curvature import (
-    _divide_root,
-    _order_at_zero,
+    _good_cleared_system,
     is_nilpotent,
     operator_nilpotence_by_division,
     p_curvature,
@@ -133,6 +135,81 @@ def schoolbook_product(xs, ys, size=None) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
+# arithmetic of matrices over Q(z), and of rational functions at a point
+
+
+def mat_add(a: RatMat, b: RatMat) -> RatMat:
+    return RatMat([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
+
+
+def mat_mul(a: RatMat, b: RatMat) -> RatMat:
+    cols = list(zip(*b.entries))
+    return RatMat([[sum((x * y for x, y in zip(row, col)), RatFn.ZERO) for col in cols] for row in a.entries])
+
+
+def mat_derivative(a: RatMat) -> RatMat:
+    return RatMat([[e.derivative() for e in row] for row in a.entries])
+
+
+def mat_vec(a: RatMat, vec) -> list[RatFn]:
+    return [sum((e * as_ratfn(v) for e, v in zip(row, vec)), RatFn.ZERO) for row in a.entries]
+
+
+def order_at(f: RatFn, a) -> int:
+    """Order of vanishing of f at z = a (negative for a pole); raises on 0."""
+    if f.is_zero():
+        raise ValueError("zero function")
+    return f.num.root_multiplicity(a) - f.den.root_multiplicity(a)
+
+
+def order_at_zero(f: RatFn) -> int:
+    if f.is_zero():
+        raise ValueError("zero function")
+    return f.num.valuation_at_zero() - f.den.valuation_at_zero()
+
+
+def order_at_infinity(f: RatFn) -> int:
+    """Order of vanishing at infinity = deg den - deg num."""
+    if f.is_zero():
+        raise ValueError("zero function")
+    return f.den.degree - f.num.degree
+
+
+def reversed_coeffs(p: Poly, length: int) -> Poly:
+    """z^length * p(1/z); requires length >= degree."""
+    if length < p.degree:
+        raise ValueError("length must be at least the degree")
+    return Poly([0] * (length - p.degree) + list(reversed(p.coeffs)))
+
+
+def invert_argument(f: RatFn) -> RatFn:
+    """f(1/z)."""
+    if f.is_zero():
+        return f
+    m = max(f.num.degree, f.den.degree)
+    return RatFn(reversed_coeffs(f.num, m), reversed_coeffs(f.den, m))
+
+
+def laurent_at_zero(f: RatFn, terms: int) -> tuple[int, list[Fraction]]:
+    """(valuation v, [c_0..c_{terms-1}]) with f = z^v (c_0 + c_1 z + ...),
+    c_0 nonzero.  The zero function returns (0, zeros)."""
+    if f.is_zero():
+        return 0, [Fraction(0)] * terms
+    vn = f.num.valuation_at_zero()
+    vd = f.den.valuation_at_zero()
+    ncs = list(f.num.coeffs[vn:])
+    dcs = list(f.den.coeffs[vd:])
+    out: list[Fraction] = []
+    inv0 = 1 / dcs[0]
+    for k in range(terms):
+        acc = ncs[k] if k < len(ncs) else Fraction(0)
+        for j in range(1, min(k, len(dcs) - 1) + 1):
+            acc -= dcs[j] * out[k - j]
+        out.append(acc * inv0)
+    return vn - vd, out
+
+
+# ---------------------------------------------------------------------------
 # derived matrices and towers
 
 
@@ -140,7 +217,7 @@ def naive_gs_sequence(g: RatMat, s_max: int) -> list[RatMat]:
     """[G_1, ..., G_s_max] from G_1 = G and G_{s+1} = G_s G + G_s'."""
     out = [g]
     while len(out) < s_max:
-        out.append(out[-1] * g + out[-1].derivative())
+        out.append(mat_add(mat_mul(out[-1], g), mat_derivative(out[-1])))
     return out
 
 
@@ -162,7 +239,7 @@ def naive_tower(ps, g: RatMat, t, h_max: int) -> list[list[RatFn]]:
     out = []
     for m in range(h_max + 1):
         if m:
-            gv = g.mat_vec(v)
+            gv = mat_vec(g, v)
             v = [c.derivative() - x for c, x in zip(v, gv)]
         scale = RatFn(t) ** m * Fraction(1, math.factorial(m))
         out.append([scale * c for c in v])
@@ -248,7 +325,7 @@ def theta_katz_honda_check(l: DiffOp, p: int) -> bool:
     BadPrime when an A_j does not reduce."""
     reduced = [reduce_ratfn_mod_p(c, p) for c in monic_theta_coefficients(l)]
     n = len(reduced)
-    orders = [(_order_at_zero(num), _order_at_zero(den)) for num, den in reduced]
+    orders = [(_lowest_degree(num), _lowest_degree(den)) for num, den in reduced]
     if any(num < den for num, den in orders):
         raise IrregularPoint("0 is not regular singular for the reduction")
     phi = [0] * n + [1]
@@ -266,6 +343,10 @@ def theta_katz_honda_check(l: DiffOp, p: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # operators on series
+
+
+def series_derivative(f: TruncatedSeries) -> TruncatedSeries:
+    return TruncatedSeries([i * c for i, c in enumerate(f.coeffs)][1:])
 
 
 def _theta(f: TruncatedSeries) -> TruncatedSeries:
@@ -288,12 +369,12 @@ def apply_operator(l: DiffOp, f: TruncatedSeries) -> TruncatedSeries:
     operands = [f]
     for j in range(1, n + 1):
         prev = operands[-1]
-        operands.append(prev.derivative() if l.basis is Basis.D else _theta(prev))
+        operands.append(series_derivative(prev) if l.basis is Basis.D else _theta(prev))
     vals, certainties = {}, {}
     for j, c in enumerate(l.coeffs):
         if c.is_zero():
             continue
-        v, _ = c.laurent_at_zero(1)
+        v, _ = laurent_at_zero(c, 1)
         vals[j], certainties[j] = v, operands[j].trunc_order + v
     if not vals:
         return TruncatedSeries(f.coeffs)
@@ -304,7 +385,7 @@ def apply_operator(l: DiffOp, f: TruncatedSeries) -> TruncatedSeries:
     acc = {e: Fraction(0) for e in range(min_v, m)}
     for j, v in vals.items():
         series = operands[j]
-        _, lau = l.coeff(j).laurent_at_zero(m - v)
+        _, lau = laurent_at_zero(l.coeff(j), m - v)
         for i, lc in enumerate(lau):
             if not lc:
                 continue
@@ -331,13 +412,13 @@ def apply_to_power(l: DiffOp, s: int, depth: int = 8) -> tuple[int, list[Fractio
     m = 0
     for a in coeffs:
         if not a.is_zero():
-            m = min(m, a.order_at_zero())
+            m = min(m, order_at_zero(a))
     q = RatFn.const(Fraction(s) ** n)
     for j, a in enumerate(coeffs, start=1):
         q = q + a * Fraction(s) ** (n - j)
     if q.is_zero():
         return m + s, [Fraction(0)] * depth
-    v, lau = q.laurent_at_zero(depth)
+    v, lau = laurent_at_zero(q, depth)
     out = [Fraction(0)] * (v - m) + lau
     return m + s, out[:depth]
 
@@ -374,14 +455,14 @@ def translate_to_point(l: DiffOp, point) -> DiffOp:
         lt = theta_form(l)
         out = []
         for k, c in enumerate(lt.coeffs):
-            ck = c.invert_argument()
+            ck = invert_argument(c)
             out.append(ck if k % 2 == 0 else -ck)
         return DiffOp(Basis.THETA, out).monic()
     a = as_fraction(point)
     if a == 0:
         return l
     ld = change_basis(l)
-    return DiffOp(Basis.D, [c.shift_argument(a) for c in ld.coeffs])
+    return DiffOp(Basis.D, [RatFn(c.num.shift_argument(a), c.den.shift_argument(a)) for c in ld.coeffs])
 
 
 def theta_indicial_data(l: DiffOp, point):
@@ -393,7 +474,7 @@ def theta_indicial_data(l: DiffOp, point):
     (j, pole order of B_{n-j}/B_n) for the D-basis coefficients B of L."""
     coeffs = monic_theta_coefficients(translate_to_point(l, point))
     n = len(coeffs)
-    regular = all(c.is_zero() or c.order_at_zero() >= 0 for c in coeffs)
+    regular = all(c.is_zero() or order_at_zero(c) >= 0 for c in coeffs)
     ld = change_basis(l)
     profile = []
     for j in range(1, n + 1):
@@ -402,9 +483,9 @@ def theta_indicial_data(l: DiffOp, point):
             continue
         ratio = ratio / ld.coeff(n)
         if is_infinity(point):
-            profile.append((j, -ratio.order_at_infinity()))
+            profile.append((j, -order_at_infinity(ratio)))
         else:
-            profile.append((j, -ratio.order_at(as_fraction(point))))
+            profile.append((j, -order_at(ratio, as_fraction(point))))
     if not regular:
         return False, tuple(profile), None
     phi = Poly.x(n)
@@ -532,6 +613,19 @@ def kummer_vp_factorial(n: int, p: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return (n - digit_sum_base(n, p)) // (p - 1)
+
+
+def accolade(s: int, m: int, p: int) -> int:
+    """Valuation of the largest inverse p-part of a product of m distinct
+    integers in 1..s: returns -(sum of the m largest v_p values).
+
+    Convention: m = 0 gives 0.  When m exceeds s, all available integers are
+    used.  The absolute value is p^(-returned value).
+    """
+    if m <= 0 or s <= 0:
+        return 0
+    vals = sorted((vp_int(k, p) for k in range(1, s + 1)), reverse=True)
+    return -sum(vals[: min(m, s)])
 
 
 @lru_cache(maxsize=None)
@@ -666,7 +760,7 @@ def gauge(g: RatMat, p: RatMat) -> RatMat:
     """The system of x = P y for y' = G y: P G P^-1 + P' P^-1.  Where P and
     P^-1 reduce mod p it conjugates the p-curvature (Katz 1970)."""
     inv = RatMat(_mat_inverse(p.entries))
-    return p * g * inv + p.derivative() * inv
+    return mat_add(mat_mul(mat_mul(p, g), inv), mat_mul(mat_derivative(p), inv))
 
 
 def twist(g: RatMat, lam) -> RatMat:
@@ -711,3 +805,222 @@ def twist_operator(l: DiffOp, lam) -> DiffOp:
         out = op_add(out, power.scaled(coeff))
         power = op_mul(step, power)
     return out
+
+
+# ---------------------------------------------------------------------------
+# identities of the paper that no command runs, checked by the tests against
+# gop's engines and against the definitions above
+
+
+def gs_sequence(g: RatMat, s_max: int) -> list[RatMat]:
+    """[G_1, ..., G_s_max] with G_1 = G and G_{s+1} = G_s G + G_s', read off
+    the cleared sequence as G_s = H_s / T^s in lowest terms.  It steps its
+    own full block H_s from H_1 = TG: cleared_system keeps only the rows its
+    contents need."""
+    if s_max < 1:
+        raise ValueError("s_max must be >= 1")
+    sys = cleared_system(g)
+    t = Poly(sys.t)
+    ts = t
+    h = sys.tg
+    out = [RatMat([[RatFn(Poly(c), ts) for c in row] for row in h])]
+    for s in range(1, s_max):
+        h = _step(h, s, sys.t, sys.tg)
+        ts = ts * t
+        out.append(RatMat([[RatFn(Poly(c), ts) for c in row] for row in h]))
+    return out
+
+
+def dwork_robba_check(g: RatMat, p: int, s_max: int) -> list[bool]:
+    """Exact valuation form of the derivative bounds for systems:
+    v(G_s/s!) >= accolade(s, n-1, p) + min over 0 <= i <= n-1 of v(G_i),
+    for s = 1..s_max (G_0 = identity).  Returns one verdict per s.
+
+    Read off H_i (growth's module docstring), every v(G_i) is >= 0, so the
+    minimum is 0; and as accolade <= 0, the left side may be cut at 0 to
+    -v_p(r_s).
+
+    Meaningful for n >= 2 systems whose fundamental solutions are analytic
+    on the generic unit disk; the n = 1 bound degenerates (v(1/s!) < 0).
+    """
+    sys = cleared_system(g)
+    return [-vp_int(sys.r(s), p) >= accolade(s, sys.n - 1, p) for s in range(1, s_max + 1)]
+
+
+def relation_gp_power_holds(g: RatMat, p: int, k_max: int) -> bool:
+    """G_{pk} mod p == (G_p mod p)^k for k <= k_max, compared through the
+    cleared polynomial forms (H_{pk} == H_p^k since both carry T^(pk))."""
+    hp = p_curvature(g, p)
+    sys = cleared_system(g)
+    seq = ClearedSequenceMod(sys.t, sys.tg, p, start=hp.entries, s=p)
+    power = hp
+    for k in range(2, k_max + 1):
+        power = power * hp
+        if power.entries != seq.goto(p * k):
+            return False
+    return True
+
+
+def nilpotence_valuation_bound(g: RatMat, p: int, s_upto: int = 3) -> bool:
+    """For a system nilpotent mod p, certify v(G_{pns}) >= s for s <= s_upto
+    (the sigma read off v(G_{pn}) >= 1).  Runs the cleared recurrence modulo
+    p^s_upto and tests every coefficient of the block at once.  BadPrime
+    when G does not reduce mod p."""
+    sys = _good_cleared_system(g, p)
+    n = sys.n
+    modulus = p**s_upto
+    seq = ClearedSequenceMod(sys.t, sys.tg, modulus)
+    for s in range(1, s_upto + 1):
+        if any(c % p**s for row in seq.goto(p * n * s) for poly in row for c in poly):
+            return False
+    return True
+
+
+def _divide_root(f: list[int], a: int, p: int) -> tuple[list[int], int]:
+    """Synthetic division of f (low degree first) by z - a mod p."""
+    acc, out = 0, []
+    for coeff in reversed(f):
+        acc = (acc * a + coeff) % p
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
+
+
+def _lowest_degree(f: list[int]):
+    return next((i for i, c in enumerate(f) if c), math.inf)
+
+
+def katz_honda_check(l: DiffOp, p: int) -> bool:
+    """Katz's indicial test: True iff the mod-p indicial polynomial at 0
+    splits over F_p, which nilpotence of the p-curvature forces.
+
+    It reads local_analysis's Frobenius rule at 0 off the monic D form
+    reduced mod p, and raises IrregularPoint when 0 is not regular singular
+    for the reduction, BadPrime when a coefficient of the monic D form does
+    not reduce mod p."""
+    g = companion(l)
+    reduced = [reduce_ratfn_mod_p(-c, p) for c in g.entries[-1]] + [([1], [1])]
+    ords = [_lowest_degree(num) - _lowest_degree(den) if num else None for num, den in reduced]
+    regular, _, leading = _frobenius(ords, -1)
+    if not regular:
+        raise IrregularPoint("0 is not regular singular for the reduction")
+    phi = [0] * (g.n + 1)
+    for j in leading:
+        # the j-th term of L z^y at z^y is (a_j / z^(ord a_j))(0) y(y-1)...(y-j+1)
+        num, den = reduced[j]
+        c = num[_lowest_degree(num)] * pow(den[_lowest_degree(den)], -1, p)
+        for d, f in enumerate(reduce_poly_mod_p(falling_factorial_poly(j), p)):
+            phi[d] = (phi[d] + c * f) % p
+    for a in range(p):
+        while len(phi) > 1:
+            quo, rem = _divide_root(phi, a, p)
+            if rem:
+                break
+            phi = quo
+    return len(phi) == 1
+
+
+def verify_similileibniz(g: RatMat, ps, s_max: int) -> bool:
+    """Exact check in Q(z)^n of the rearranged Leibniz identity
+    (G_s/s!) P = sum_j ((-1)^j / ((s-j)! j!)) D^(s-j) (D-G)^j P for s <= s_max."""
+    n = g.n
+    pvec = [as_ratfn(p) for p in ps]
+    gs = gs_sequence(g, s_max)
+    # iterated derivatives of (D-G)^j P, filled on demand
+    v: list[list[list[RatFn]]] = [[pvec]]
+    for j in range(s_max):
+        last = v[-1][0]
+        nxt = [last[i].derivative() for i in range(n)]
+        gv = mat_vec(g, last)
+        v.append([[nxt[i] - gv[i] for i in range(n)]])
+    for j in range(s_max + 1):
+        while len(v[j]) <= s_max - j:
+            prev = v[j][-1]
+            v[j].append([c.derivative() for c in prev])
+    for s in range(1, s_max + 1):
+        lhs = mat_vec(gs[s - 1], pvec)
+        fact_s = math.factorial(s)
+        lhs = [c * Fraction(1, fact_s) for c in lhs]
+        rhs = [RatFn.ZERO] * n
+        for j in range(s + 1):
+            scale = Fraction((-1) ** j, math.factorial(s - j) * math.factorial(j))
+            term = v[j][s - j]
+            rhs = [rhs[i] + term[i] * scale for i in range(n)]
+        if any(lhs[i] != rhs[i] for i in range(n)):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the command line as argparse read it, the reference for gop.cli's parser
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose errors raise UsageError, so that a malformed
+    command line ends in the usage envelope like any other usage error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _build_argparser() -> argparse.ArgumentParser:
+    top = _ArgumentParser(prog="gop", description="exact analysis of linear differential operators over Q(z)")
+    top.add_argument("--format", choices=("json", "text"), default="json")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def with_operator(p):
+        p.add_argument("expr", nargs="?", help="operator expression")
+        p.add_argument("--catalog", help="catalog id instead of an expression")
+
+    p = sub.add_parser("classify")
+    with_operator(p)
+    p = sub.add_parser("exponents")
+    with_operator(p)
+    p.add_argument("--point", required=True)
+    p = sub.add_parser("pcurv")
+    with_operator(p)
+    p.add_argument("--prime", type=int, required=True)
+    p = sub.add_parser("scan")
+    with_operator(p)
+    p.add_argument("--primes", default="2..50")
+    p = sub.add_parser("galochkin")
+    with_operator(p)
+    p.add_argument("--smax", type=int, default=30)
+    p = sub.add_parser("size")
+    with_operator(p)
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--prime-bound", type=int, required=True, dest="prime_bound")
+    p = sub.add_parser("radius")
+    with_operator(p)
+    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--smax", type=int, required=True)
+    p = sub.add_parser("bombieri")
+    with_operator(p)
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--prime-bound", type=int, required=True, dest="prime_bound")
+    p.add_argument("--slack", type=float, default=0.3)
+    p = sub.add_parser("pade")
+    p.add_argument("--series", help="JSON series-vector file")
+    p.add_argument("--catalog", help="catalog id with a system")
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--M", type=int, required=True)
+    p = sub.add_parser("catalog")
+    p.add_argument("action", choices=("list", "get"))
+    p.add_argument("id", nargs="?")
+    return top
+
+
+def argparse_reading(argv) -> tuple[str, object, str]:
+    """How the argparse command line read argv: ("args", the attributes,
+    command), ("help", None, command) when it printed the usage, or
+    ("error", None, command) for a usage error; command is the subcommand
+    argparse had reached, "" before it reached one."""
+    args = argparse.Namespace(command="")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            _build_argparser().parse_args(argv, args)
+        except SystemExit:
+            return "help", None, args.command
+        except UsageError:
+            return "error", None, args.command
+    return "args", vars(args), args.command

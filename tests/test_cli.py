@@ -1,9 +1,14 @@
 """Expression grammar, report schemas, golden files, exit codes."""
 
+import ast
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import types
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
@@ -29,11 +34,13 @@ from gop.cli import (
     run_command,
 )
 from gop.diffop import Basis, DiffOp
-from gop.errors import DomainError, MixedBasisError, ParseError
+from gop.errors import DomainError, MixedBasisError, ParseError, UsageError
 from gop.exact_arith import Poly, RatFn, is_prime
 from gop.local_analysis import APPARENT_ORDER_MAX
+from oracles import argparse_reading
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+BENCH_INVOCATIONS = Path(__file__).resolve().parents[1] / "bench" / "invocations.py"
 
 GOLDEN_CASES = {
     "classify_theta2m2": ["classify", "--catalog", "theta2m2"],
@@ -52,6 +59,15 @@ GOLDEN_CASES = {
     "catalog_list": ["catalog", "list"],
     "catalog_get_polylog1": ["catalog", "get", "polylog:1"],
 }
+
+
+def _load_bench_invocations():
+    spec = importlib.util.spec_from_file_location("bench_invocations", BENCH_INVOCATIONS)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module up by name while it builds the classes
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_schema(command):
@@ -233,14 +249,14 @@ def test_text_format(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "rational_exponents" in out and "{" not in out
-    # --format is one argparse option: an unknown value is a usage error,
-    # raised before argparse reaches the subcommand
+    # --format is a flag of the line before the command: an unknown value is
+    # a usage error, raised before the parser reaches the command
     rc = main(["--format", "xml", "classify", "D"])
     env = json.loads(capsys.readouterr().out)
     assert rc == 1 and env["command"] == "" and "xml" in env["error"]
 
 
-def test_argparse_errors_give_usage_envelopes(capsys):
+def test_command_line_errors_give_usage_envelopes(capsys):
     cases = {
         ("classify", "-z*D+1"): "classify",
         ("pcurv", "--catalog", "polylog:2"): "pcurv",
@@ -256,6 +272,96 @@ def test_argparse_errors_give_usage_envelopes(capsys):
     assert json.loads(capsys.readouterr().out)["command"] == "classify"
     # --help prints the usage and succeeds, with no envelope
     assert main(["--help"]) == 0 and capsys.readouterr().out.startswith("usage: gop")
+
+
+# the ways the table parser reads a line unlike the argparse parser it
+# replaced (tests/oracles.py): argparse refused a flag value that starts
+# with "-" unless it looked like a negative number, and took any prefix of a
+# flag as the flag
+PARSER_DIFFERENCES = {
+    ("exponents", "D+1", "--point", "-1/2"): "value starting with -",
+    ("exponents", "--catalog", "gauss2f1", "--point", "-inf"): "value starting with -",
+    ("scan", "--catalog", "-polylog:2"): "value starting with -",
+    ("pcurv", "D", "--prime", "--catalog"): "value starting with -",
+    ("classify", "--catalog", "-h"): "value starting with -",
+    ("classify", "--cat", "polylog:2"): "prefix abbreviation",
+    ("size", "--catalog", "polylog:2", "--s", "5", "--prime-b", "5"): "prefix abbreviation",
+    ("--form", "text", "catalog", "list"): "prefix abbreviation",
+    ("--he",): "prefix abbreviation",
+}
+
+
+def _argvs_in_this_file() -> list[list[str]]:
+    """Every list or tuple of string constants in this file that starts like
+    a command line."""
+    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.List, ast.Tuple)) and node.elts:
+            words = [e.value for e in node.elts if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+            if len(words) == len(node.elts) and (words[0] in cli._SYNTAX or words[0] == "--format"):
+                out.append(words)
+    return out
+
+
+def _generated_argvs() -> list[list[str]]:
+    """For each command a well-formed line and malformed variants of it."""
+    sample = {int: "5", float: "0.5", str: "polylog:2"}
+    out = [[], ["frobnicate", "D"], ["-h"], ["--help"], ["--format", "text"], ["--", "catalog", "list"],
+           ["catalog", "lst"], ["catalog", "lst", "-h"], ["catalog", "--", "lst", "polylog:1"],
+           ["catalog", "get", "--", "polylog:1"], ["catalog", "--", "get", "polylog:1"],
+           ["classify", "-3"], ["classify", "-z*D + 1"], ["classify", "--", "-z*D+1"], ["classify", "D", "--", "E"],
+           ["classify", "--", "--"], ["bombieri", "D", "--s", "-4", "--prime-bound", "-.5"]]
+    for command, (positionals, flags) in cli._SYNTAX.items():
+        free = ["D"] if positionals == ("expr?",) else ["get", "polylog:1"] if positionals else []
+        required = [[flag, sample[kind]] for flag, (kind, default) in flags.items() if default is ...]
+        options = [[flag, sample[kind]] for flag, (kind, _) in flags.items()]
+        base = [command, *free, *(w for pair in required for w in pair)]
+        out += [base, [command, *(w for pair in options for w in pair), *free],
+                [command, *(f"{f}={v}" for f, v in options), *free],
+                ["--format", "text", *base], ["--format=text", *base], ["--format", "xml", *base],
+                [*base, "--format", "text"], [*base, "-h"], [command, "-h"], [command, "--help", "--bogus"],
+                [*base, "--bogus"], [*base, "--bogus=1", "-h"], ["--bogus", *base], [*base, "extra", "more"],
+                [command, *(w for pair in required for w in pair), "--", *free], ["--", *base]]
+        for flag, _ in options:
+            out.append([*base, flag])
+            if flags[flag][0] is not str:
+                out += [[*base, flag, "x"], [*base, f"{flag}=1.5x"], [*base, flag, "-7"]]
+        for i in range(len(required)):
+            out.append([command, *free, *(w for pair in required[:i] + required[i + 1:] for w in pair)])
+    return out
+
+
+def _table_reading(argv) -> tuple[str, object, str]:
+    """How cli's table parser reads argv, in the form of oracles.argparse_reading."""
+    args = types.SimpleNamespace(command="")
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            if not cli._parse_args(argv, args):
+                return "help", None, args.command
+        except UsageError:
+            return "error", None, args.command
+    return "args", vars(args), args.command
+
+
+def test_table_parser_reads_lines_as_argparse_did():
+    bench = _load_bench_invocations()
+    corpus = [list(inv.argv) for w in bench.WORKLOADS for seed in range(10) for inv in bench.build(w, seed)]
+    corpus += _argvs_in_this_file() + _generated_argvs() + [list(argv) for argv in PARSER_DIFFERENCES]
+    outcomes = set()
+    for argv in corpus:
+        old, new = argparse_reading(argv), _table_reading(argv)
+        outcomes.add(old[0])
+        if tuple(argv) not in PARSER_DIFFERENCES:
+            # floats compare by repr, so that nan reads equal to nan
+            assert [new[0], new[2]] == [old[0], old[2]], argv
+            if old[0] == "args":
+                assert {k: repr(v) for k, v in new[1].items()} == {k: repr(v) for k, v in old[1].items()}, argv
+        elif PARSER_DIFFERENCES[tuple(argv)] == "value starting with -":
+            assert old[0] == "error" and new[0] in ("args", "error") and new[2] == old[2], argv
+        else:
+            assert old[0] in ("args", "help") and new[0] == "error", argv
+    assert outcomes == {"args", "help", "error"} and len(corpus) > 500
 
 
 def test_json_format_default(capsys):
@@ -320,7 +426,19 @@ def test_growth_sizes_validated_at_boundary():
         ["bombieri", "--catalog", "polylog:2", "--s", "4", "--prime-bound", "5", "--slack", "nan"],
         ["bombieri", "--catalog", "polylog:2", "--s", "4", "--prime-bound", "5", "--slack", "inf"],
         ["bombieri", "--catalog", "polylog:2", "--s", "4", "--prime-bound", "5", "--slack=-inf"],
+        # no prime is at most a --prime-bound below 2, so the sums would be empty
+        ["size", "--catalog", "polylog:2", "--s", "4", "--prime-bound", "-3"],
+        ["size", "--catalog", "polylog:2", "--s", "4", "--prime-bound", "1"],
+        ["bombieri", "--catalog", "polylog:2", "--s", "4", "--prime-bound", "-3"],
+        ["bombieri", "--catalog", "polylog:2", "--s", "4", "--prime-bound", "0"],
     ])
+
+
+def test_empty_prime_ranges_are_usage_errors():
+    # a scan of no prime answered NoGoodPrime with exit 0
+    _assert_usage_errors([["scan", "--catalog", "polylog:2", "--primes", "5..2"],
+                          ["scan", "--catalog", "polylog:2", "--primes", "24..28"],
+                          ["scan", "D - 1", "--primes", "0..1"]])
 
 
 def test_catalog_ids_and_points_validated_at_boundary():
@@ -516,11 +634,30 @@ def test_each_command_loads_only_the_layers_it_runs():
     assert _layers_loaded("import gop.cli") == set()
     assert _layers_loaded_by("catalog", "list") == {"catalog"}
     assert not _layers_loaded_by("classify", "theta*(theta-1/2) - z*(theta+1/3)*(theta+1/4)") & {
-        "catalog", "p_curvature", "pade"}
+        "catalog", "growth", "p_curvature", "pade"}
+    assert not _layers_loaded_by("exponents", "theta*(theta-1/2) - z*(theta+1/3)*(theta+1/4)", "--point", "0") & {
+        "catalog", "growth", "p_curvature", "pade"}
     assert not _layers_loaded_by("galochkin", "--catalog", "gauss2f1") & {
         "modp", "local_analysis", "p_curvature", "pade"}
     assert not _layers_loaded_by("pade", "--catalog", "polylog:2", "--N", "12", "--M", "4") & {
         "p_curvature", "local_analysis"}
+    # Katz's indicial test, the one reader of local_analysis in p_curvature,
+    # lives in tests/oracles.py
+    assert _layers_loaded_by("scan", "--catalog", "polylog:3", "--primes", "2..30") == {
+        "catalog", "growth", "modp", "p_curvature"}
+    assert not _layers_loaded_by("pcurv", "D - 1", "--prime", "5") & {"local_analysis", "pade"}
+    # argparse and the gettext it imports cost about 3 ms of every child's
+    # start; cli reads the command line off its own table
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from gop.cli import run_command\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        run_command(argv, emit=print)\n"
+        "    print('argparse' in sys.modules)\n"
+    )
+    argvs = [argv for argv in GOLDEN_CASES.values()] + [["--help"], ["scan", "-h"], ["frobnicate"], []]
+    assert _child_stdout(script, json.dumps(argvs)).split() == ["False"] * len(argvs)
 
 
 def test_closed_stdout_ends_quietly():

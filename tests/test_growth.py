@@ -14,7 +14,6 @@ from gop.exact_arith import Poly, RatFn, gauss_valuation, primes_upto, vp_int
 from gop.growth import (
     bombieri_report,
     cleared_system,
-    dwork_robba_check,
     galochkin_trace,
     h_s_p,
     log_value,
@@ -22,13 +21,14 @@ from gop.growth import (
     size_estimate,
 )
 from gop.modp import ClearedSequenceMod
-from gop.p_curvature import is_nilpotent, nilpotence_valuation_bound, p_curvature
+from gop.p_curvature import is_nilpotent, p_curvature
 from gop.errors import BadPrime
 from oracles import (
     catalog_systems,
     cleared_powers,
     drawn_operator,
     dwork_robba_by_definition,
+    dwork_robba_check,
     every_catalog_system,
     exact_log_of_integer,
     force_storage,
@@ -36,6 +36,7 @@ from oracles import (
     kummer_vp_factorial,
     lcm_upto,
     naive_gs_sequence,
+    nilpotence_valuation_bound,
     rho_by_definition,
 )
 

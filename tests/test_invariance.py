@@ -27,7 +27,7 @@ from gop.errors import IrregularPoint
 from gop.exact_arith import Poly, RatFn, primes_upto
 from gop.local_analysis import classify_operator, exponents, indicial_data
 from gop.p_curvature import global_scan
-from oracles import gauge, substitute, twist, twist_operator
+from oracles import gauge, reversed_coeffs, substitute, twist, twist_operator
 
 
 def _subject(entry_id):
@@ -106,7 +106,7 @@ def _inverse(x):
 # the roots of the monic numerator of f(phi(w))
 MOBIUS = {
     "1-z": ((-1, 1, 0, 1), _one_minus, lambda f: f.compose(Poly([1, -1])).monic()),
-    "1/z": ((0, 1, 1, 0), _inverse, lambda f: f.reversed_coeffs(f.degree).monic()),
+    "1/z": ((0, 1, 1, 0), _inverse, lambda f: reversed_coeffs(f, f.degree).monic()),
 }
 
 

@@ -27,11 +27,9 @@ from gop.p_curvature import (
     _scaled_p_curvature,
     global_scan,
     is_nilpotent,
-    katz_honda_check,
     operator_nilpotence_by_division,
     p_curvature,
     prime_report,
-    relation_gp_power_holds,
 )
 from oracles import (
     catalog_systems,
@@ -39,9 +37,11 @@ from oracles import (
     every_catalog_system,
     force_storage,
     gauss_rule_is_bad,
+    katz_honda_check,
     naive_division_vanishes,
     naive_gs_sequence,
     per_prime_scan,
+    relation_gp_power_holds,
     theta_katz_honda_check,
 )
 

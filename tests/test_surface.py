@@ -1,6 +1,5 @@
 """The public surface of `gop`: every public module-level name in
-src/gop/*.py is used inside the package, or is one of the paper-identity
-checks listed below; no module imports a name it never uses; and every name
+src/gop/*.py is used inside the package, or is one of the few listed below; no module imports a name it never uses; and every name
 the package re-exports is its layer's own object.
 Reference implementations that only tests need live in tests/oracles.py."""
 
@@ -11,15 +10,13 @@ import gop
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gop"
 
-# public names no other code in src reaches, kept because each checks an
-# identity of the paper and the tests run it
+# public names no other code in src reaches, kept because each is an object
+# of the paper that the tests check the scan against, and that bench/spans.py
+# traces from outside the package
 PAPER_IDENTITIES = {
-    "relation_gp_power_holds": "G_{pk} = G_p^k mod p, Katz's relation between p-curvatures",
-    "dwork_robba_check": "the Dwork-Robba derivative bounds for systems",
-    "verify_similileibniz": "the Leibniz rearrangement of the derived Pade tower",
-    "katz_honda_check": "Katz's indicial test: nilpotence forces a split indicial polynomial mod p",
-    "nilpotence_valuation_bound": "v(G_{pns}) >= s for a system nilpotent mod p",
+    "p_curvature": "H_p = T^p G_p mod p at one prime, on its own modulus",
     "operator_nilpotence_by_division": "L right-divides D^(pn) mod p iff the p-curvature of L is nilpotent",
+    "reduce_ratfn_mod_p": "reduction of Q(z) to F_p(z) by the Gauss valuation, the paper's good-prime rule",
 }
 
 
