@@ -354,22 +354,23 @@ def _parse_point(text: str):
 # one command on a 2-core x86-64 machine; higher polylog weights and larger
 # operators cost more at the same bound.
 
-# pcurv runs p·n steps of one row mod p, the step at index s O(s): polylog:3
-# at p = 1999 took 5.6 s
+# pcurv runs p·n steps of one row, mod p at q = n e + 1 integer points when
+# F_p holds q of the first q + deg T + 1 points that are not roots of T, else
+# on polynomials mod p (n and e as below): polylog:3 at p = 1999 took 0.8 s
 PCURV_PRIME_MAX = 2000
-# scan does that once for all the primes in its range, on one run modulo their
-# product, steps of O(s) operations on integers of up to that product's size:
-# gauss2f1 over 2..1000 took 2.5 s
+# scan does that once for all the primes in its range, one run per point and
+# one on polynomials, each modulo the product of the primes it serves:
+# gauss2f1 over 2..1000 took 0.2 s
 SCAN_PRIME_MAX = 1000
 # both take longer with the subject's order or dimension n and with e, the
 # most degree H_s gains per step (1 for polylog's chain systems, k for the
-# weight-k operator): their times grow about as the square of n^2 e p.  So
-# both also bound n^2 e times p, the top of --primes for scan, by this times
-# their p cap; polylog:3's operator, n^2 e = 48, runs to the cap.  At the
-# bound, pcurv took 0.6 s on gauss2f1 (p = 1999), 5.6 s on polylog:3 (1999),
-# 5.5 s on polylog:8 (139) and 6.3 s on polylog:10 (79); scan took 2.5 s on
-# gauss2f1 (2..1000), 1.9 s on polylog:3 (2..1000), 5.9 s on polylog:8
-# (2..592) and 5.7 s on polylog:10 (2..396)
+# weight-k operator), so both also bound n^2 e times p, the top of --primes
+# for scan, by this times their p cap.  At the bound pcurv took 0.8 s on
+# polylog:3 (p = 1999), 2.1 s on polylog:8 (139), 5.8 s on polylog:9 (89),
+# 7.1 s on polylog:10 (79), 7.9 s on polylog:12 (47), 9.4 s on polylog:15
+# (23) and 16.0 s on polylog:20 (7), from weight 10 up every prime below the
+# pool, on polynomials; scan took 1.2 s on polylog:3's operator (2..1000),
+# 2.1 s on polylog:8 (2..592) and 2.8 s on polylog:10 (2..396)
 ORDER_WEIGHT_MAX = 48
 # galochkin and radius run smax, size and bombieri s, integer steps of the
 # rows of H_s, kept as primitive parts, only the row e_0 on a companion
@@ -426,8 +427,7 @@ def _check_growth_work(flag: str, s: int, g: RatMat) -> None:
 
 
 def _check_prime_work(flag: str, p: int, cap: int, g: RatMat) -> None:
-    sys = growth.cleared_system(g)
-    e = max(len(sys.t) - 2, *(len(c) - 1 for row in sys.tg for c in row), 1)
+    e = p_curvature.degree_growth(growth.cleared_system(g))
     weight = f"n^2 e, for the order or dimension n = {g.n} and the degree growth per step e = {e},"
     _check_at_most(f"{flag} times {weight}", g.n**2 * e * p, ORDER_WEIGHT_MAX * cap)
 
@@ -459,12 +459,9 @@ def _resolve_operator(args) -> tuple[str, DiffOp]:
 def _resolve_system(args) -> tuple[str, RatMat]:
     if getattr(args, "catalog", None):
         entry = _catalog_entry(args.catalog)
-        if entry.system is not None:
-            return entry.id, entry.system
-        return entry.id, companion(entry.operator)
-    if getattr(args, "expr", None):
-        return args.expr, companion(parse_operator(args.expr))
-    raise UsageError("need an operator expression or --catalog ID")
+        return entry.id, companion(entry.operator) if entry.system is None else entry.system
+    label, op = _resolve_operator(args)
+    return label, companion(op)
 
 
 def _series_integer(value) -> int:

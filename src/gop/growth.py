@@ -9,7 +9,7 @@ and stays integer for the integer T of cleared_system.  _step is the one
 implementation of this step, over Z and, given a modulus, over Z/m:
 pade.derived_tower runs it on a row vector with TG replaced by -(TG)^T, the
 p-adic quantities below read the contents of its H_s, and
-modp.ClearedSequenceMod runs it mod m until numpy pays for itself.
+modp.ClearedSequenceMod runs it mod m on the same lists.
 
 Every p-adic quantity is read off H_s, for all primes at once, through two
 integers per s: r_s = s!/gcd(s!, c_s), c_s the content of H_s, and the
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, count
 from typing import NamedTuple
 
 from .diffop import RatMat
@@ -147,20 +148,23 @@ def _step(h, s: int, t, tg, m: int | None = None):
             if hj:
                 size = max(size, len(t) + len(hj) - 2)
             acc = [0] * size
+            # each pass skips the long factor's low zeros (most of H_s for a polylog)
             for a, b in terms:
                 if len(a) < len(b):
                     a, b = b, a
-                width = len(a)
+                low = next(compress(count(), a), 0)
+                a, width = a[low:], len(a)
                 for i, x in enumerate(b):
                     if x:
-                        acc[i : i + width] = [u + x * y for u, y in zip(acc[i : i + width], a)]
+                        acc[i + low : i + width] = [u + x * y for u, y in zip(acc[i + low : i + width], a)]
             # T H_s' - s T' H_s = sum over i, k of t_i (k - s i) h_k z^(i+k-1),
-            # one pass per nonzero t_i (for i = 0 the k = 0 term vanishes),
-            # the factors t_i (k - s i) stepping by t_i
+            # one pass per nonzero t_i from the lowest nonzero h_k (for i = 0
+            # the k = 0 term vanishes), the factors t_i (k - s i) stepping by t_i
+            low = next(compress(count(), hj), 0)
             for i, x in enumerate(t):
                 if x and hj:
-                    lo, first, si = max(i - 1, 0), int(i == 0), s * i
-                    hi = lo + len(hj) - first
+                    first, si = max(low, int(i == 0)), s * i
+                    lo, hi = i + first - 1, i + len(hj) - 1
                     factors = range(x * (first - si), x * (len(hj) - si), x)
                     acc[lo:hi] = [u + c * y for u, c, y in zip(acc[lo:hi], factors, hj[first:])]
             if m is not None:

@@ -37,7 +37,6 @@ from gop.exact_arith import (
 )
 from gop.growth import _step, cleared_system
 from gop.local_analysis import _frobenius, regular_series_solutions
-from gop import modp
 from gop.modp import ClearedSequenceMod, reduce_poly_mod_p, reduce_ratfn_mod_p
 from gop.p_curvature import (
     _good_cleared_system,
@@ -90,13 +89,6 @@ def drawn_operator(rng, basis):
     if coeffs[-1].is_zero():
         coeffs[-1] = Poly([rng.choice((2, 3, 6)), rng.randint(-3, 3)])
     return DiffOp(basis, coeffs)
-
-
-def force_storage(monkeypatch, budget):
-    """Make modp.ClearedSequenceMod step numpy blocks from the first step
-    (budget 0) or [row][col] lists throughout (an unbounded budget)."""
-    monkeypatch.setattr(modp, "LIST_WORK_BUDGET", budget)
-    monkeypatch.setattr(modp, "_list_work", 0)
 
 
 def per_prime_scan(subject, primes):

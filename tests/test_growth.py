@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gop import growth, modp
+from gop import growth
 from gop.catalog import polylog_operator, polylog_system
 from gop.cli import parse_operator
 from gop.diffop import Basis, RatMat, companion
@@ -31,7 +31,6 @@ from oracles import (
     dwork_robba_check,
     every_catalog_system,
     exact_log_of_integer,
-    force_storage,
     h_by_definition,
     kummer_vp_factorial,
     lcm_upto,
@@ -280,13 +279,10 @@ def test_nilpotence_valuation_bound():
     assert nilpotence_valuation_bound(half, 3, 3)
 
 
-def test_modular_engine_matches_integers_at_large_modulus(monkeypatch):
-    # past 2^31 products of residues pass 2^63, where int64 arithmetic wraps
-    # (72 coefficients of polylog:2's H_24 mod 2^61 - 1 would come out
-    # wrong); the engine must be exact at every modulus, 2^89 - 1 included,
-    # on lists, on numpy blocks, and across a switch between the two.  Blocks
-    # are int64 only: a modulus whose step sums can pass 2^63 steps lists
-    # whatever the budget
+def test_modular_engine_matches_integers_at_large_modulus():
+    # past 2^31 products of residues pass 2^63, where fixed-width arithmetic
+    # wraps (72 coefficients of polylog:2's H_24 mod 2^61 - 1 would come out
+    # wrong); the engine must be exact at every modulus, 2^89 - 1 included
     rng = random.Random(90)
     systems = list(every_catalog_system())
     for k in range(16):
@@ -294,12 +290,7 @@ def test_modular_engine_matches_integers_at_large_modulus(monkeypatch):
         systems.append((f"drawn:{basis.value}:{k}", companion(drawn_operator(rng, basis))))
     for label, g in systems:
         sys = cleared_system(g)
-        # products of residues summed into one output coefficient of a step
-        terms = sys.n * max(len(c) for row in sys.tg for c in row) + 2 * len(sys.t) - 1
         for m in (7, 27, 2**31 - 1, 2**61 - 1, 2**89 - 1):
-            # at 2^31 - 1 only a step that sums two products (a constant 1x1
-            # system) stays below 2^63
-            int64 = m < 2**31 - 1 or (m == 2**31 - 1 and terms == 2)
             want = []
             for s in range(1, 31):
                 want.append([[[c % m for c in poly] for poly in row] for row in cleared_powers(sys, s)])
@@ -307,28 +298,9 @@ def test_modular_engine_matches_integers_at_large_modulus(monkeypatch):
                     for poly in row:
                         while poly and poly[-1] == 0:
                             poly.pop()
-            force_storage(monkeypatch, math.inf)
             seq = ClearedSequenceMod(sys.t, sys.tg, m)
             assert [seq.goto(s) for s in range(1, 16)] == want[:15], (label, m)
-            switch = modp._list_work  # the work of the first 14 steps
             assert [seq.goto(s) for s in range(16, 31)] == want[15:], (label, m)
-            assert seq.block is None
-            force_storage(monkeypatch, 0)
-            seq = ClearedSequenceMod(sys.t, sys.tg, m)
-            assert [seq.goto(s) for s in range(1, 31)] == want, (label, m)
-            assert (seq.block is not None) == int64, (label, m)
-            force_storage(monkeypatch, switch)
-            seq = ClearedSequenceMod(sys.t, sys.tg, m)
-            on_lists = []
-            for s in range(1, 31):
-                assert seq.goto(s) == want[s - 1], (label, m, s)
-                on_lists.append(seq.block is None)
-            if int64:
-                # lists while under budget, then numpy from the 15th step at the latest
-                assert on_lists == sorted(on_lists, reverse=True), (label, m)
-                assert on_lists[1] == (switch > 0) and not any(on_lists[15:]), (label, m)
-            else:
-                assert all(on_lists), (label, m)
 
 
 def test_log_value_sums_exponents_times_log_p():

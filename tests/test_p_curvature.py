@@ -4,6 +4,7 @@ import importlib
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -20,10 +21,12 @@ from gop.diffop import Basis, RatMat, companion
 from gop.errors import BadPrime, IrregularPoint
 from gop.exact_arith import Poly, RatFn, primes_upto
 from gop.growth import cleared_system
-from gop.modp import ClearedSequenceMod, reduce_poly_mod_p, reduce_ratfn_mod_p
+from gop.modp import ClearedSequenceMod, PointSequenceMod, reduce_poly_mod_p, reduce_ratfn_mod_p
 from gop.p_curvature import (
     FpMat,
+    _is_bad,
     _rows_at_primes,
+    _runs,
     _scaled_p_curvature,
     global_scan,
     is_nilpotent,
@@ -35,7 +38,6 @@ from oracles import (
     catalog_systems,
     drawn_operator,
     every_catalog_system,
-    force_storage,
     gauss_rule_is_bad,
     katz_honda_check,
     naive_division_vanishes,
@@ -141,6 +143,26 @@ def test_relation_gp_all_catalog_systems():
                 assert relation_gp_power_holds(g, p, 3), (label, p)
             except BadPrime:
                 continue
+
+
+def test_p_curvature_is_horizontal():
+    # H_p mod p is horizontal, H' = [G, H], that is T H' = (TG) H - H (TG):
+    # the identity that lets the scan read H_p off its values at points
+    for label, g in every_catalog_system():
+        sys = cleared_system(g)
+        n = sys.n
+        for p in primes_upto(23):
+            if _is_bad(sys, p):
+                continue
+            h = ClearedSequenceMod(sys.t, sys.tg, p).goto(p)
+            tg = [[[c % p for c in poly] for poly in row] for row in sys.tg]
+            t = [[[c % p for c in sys.t] if i == j else [] for j in range(n)] for i in range(n)]
+            dh = [[[i * c % p for i, c in enumerate(poly)][1:] for poly in row] for row in h]
+            lhs = _schoolbook_product(t, dh, p)
+            left, right = _schoolbook_product(tg, h, p), _schoolbook_product(h, tg, p)
+            rhs = [[[(x - y) % p for x, y in zip_longest(u, v, fillvalue=0)] for u, v in zip(*rows)]
+                   for rows in zip(left, right)]
+            assert _mod(lhs, p) == _mod(rhs, p), (label, p)
 
 
 def test_reduction_commutes_with_recurrence():
@@ -295,35 +317,32 @@ def _scan_rows(subject, primes):
             for r in global_scan(subject, primes).reports]
 
 
-def test_scan_matches_per_prime_runs(monkeypatch):
-    # the scan reads every prime off one run modulo the product of the good
-    # primes; the per-prime side runs each prime on its own modulus, on both
-    # storages.  Forced lists cost several times numpy at large p (191 s
-    # against 35 s at every prime <= 300), so the range stops at 70
+def test_scan_matches_per_prime_runs():
+    # the scan reads each prime off runs at its integer points, or off one
+    # list run modulo the product of the primes the pool cannot serve; the
+    # per-prime side runs each prime on lists on its own modulus.  The range
+    # stops at 70, where the per-prime lists are still fast
     rng = random.Random(91)
     subjects = [e.operator if e.system is None else e.system for e in CATALOG.values()]
     subjects += [drawn_operator(rng, (Basis.D, Basis.THETA)[k % 2]) for k in range(16)]
     primes = primes_upto(70)
     for subject in subjects:
-        scanned = _scan_rows(subject, primes)
-        for budget in (math.inf, 0):
-            force_storage(monkeypatch, budget)
-            assert per_prime_scan(subject, primes) == scanned, (subject, budget)
+        assert per_prime_scan(subject, primes) == _scan_rows(subject, primes), subject
 
 
 def test_scan_edge_cases(monkeypatch):
     li2, six = polylog_operator(2), parse_operator("6*D - 1")  # 6 D - 1 is bad at 2 and 3
     for subject, primes in [(li2, [7]), (li2, [13, 3, 13, 2, 7, 3]), (six, [5]), (six, [7, 3, 5, 2, 7])]:
-        for budget in (math.inf, 0):
-            force_storage(monkeypatch, budget)
-            scan = global_scan(subject, primes)
-            assert scan.primes == tuple(sorted(primes))
-            assert list(scan.reports) == per_prime_scan(subject, primes), (subject, primes)
+        scan = global_scan(subject, primes)
+        assert scan.primes == tuple(sorted(primes))
+        assert list(scan.reports) == per_prime_scan(subject, primes), (subject, primes)
 
     def no_sequence(*args, **kwargs):
         raise AssertionError("a scan without a good prime built a sequence")
 
-    monkeypatch.setattr(importlib.import_module("gop.p_curvature"), "ClearedSequenceMod", no_sequence)
+    module = importlib.import_module("gop.p_curvature")
+    monkeypatch.setattr(module, "ClearedSequenceMod", no_sequence)
+    monkeypatch.setattr(module, "PointSequenceMod", no_sequence)
     for primes in ([], [3], [3, 2, 3]):
         scan = global_scan(six, primes)
         assert scan.verdict == "NoGoodPrime" and scan.primes == tuple(sorted(primes))
@@ -360,30 +379,55 @@ def test_row_run_reads_scaled_p_curvature():
 
 
 def test_one_sequence_per_scan_subject(monkeypatch):
-    # a scan or a one-prime report steps one cleared sequence, for an
+    # a scan or a one-prime report steps at most one list run, shared by the
+    # primes the pool cannot serve, and one run per pool point, for an
     # operator as for a system
     built = []
 
-    class Counted(ClearedSequenceMod):
+    class CountedLists(ClearedSequenceMod):
         def __init__(self, *args, **kwargs):
-            built.append(args)
+            built.append(None)
             super().__init__(*args, **kwargs)
+
+    class CountedPoints(PointSequenceMod):
+        def __init__(self, t, b, a, m):
+            built.append(a)
+            super().__init__(t, b, a, m)
 
     def cli(*argv):
         assert run_command(list(argv))[0] == 0, argv
 
-    monkeypatch.setattr(importlib.import_module("gop.p_curvature"), "ClearedSequenceMod", Counted)
+    module = importlib.import_module("gop.p_curvature")
+    monkeypatch.setattr(module, "ClearedSequenceMod", CountedLists)
+    monkeypatch.setattr(module, "PointSequenceMod", CountedPoints)
     li2 = polylog_operator(2)
-    for run in (
-        lambda: global_scan(li2, primes_upto(50)),
-        lambda: prime_report(li2, 101),
-        lambda: global_scan(polylog_system(2), primes_upto(50)),
-        lambda: cli("scan", "--catalog", "gauss2f1", "--primes", "2..60"),
-        lambda: cli("pcurv", "--catalog", "theta2m2", "--prime", "7"),
+    for run, lists, points in (
+        (lambda: global_scan(li2, primes_upto(50)), 1, 7),
+        (lambda: prime_report(li2, 101), 0, 7),
+        (lambda: global_scan(polylog_system(2), primes_upto(50)), 1, 4),
+        (lambda: cli("scan", "--catalog", "gauss2f1", "--primes", "2..60"), 1, 5),
+        (lambda: cli("pcurv", "--catalog", "theta2m2", "--prime", "7"), 0, 5),
+        (lambda: cli("pcurv", "--catalog", "theta2m2", "--prime", "3"), 1, 0),
     ):
         built.clear()
         run()
-        assert len(built) == 1
+        assert built.count(None) == lists
+        assert len(built) - lists == len(set(built) - {None}) == points
+
+
+def test_route_of_each_prime():
+    # a prime with q = n e + 1 points of the pool distinct and ordinary mod p
+    # is read off runs at points, any other good prime on polynomials; the
+    # bench's scans take both routes
+    for g, lists, points in (
+        (polylog_system(3), [2, 3, 5], [7, 11, 67]),
+        (companion(catalog_get("gauss2f1").operator), [3, 5], [7, 11, 29]),
+        (companion(polylog_operator(3)), [2, 3, 5, 7, 11, 13], [17, 19, 1999]),
+    ):
+        sys = cleared_system(g)
+        runs = _runs(sys, [p for p in lists + points if not _is_bad(sys, p)])
+        assert runs.pop(None) == lists
+        assert {p for served in runs.values() for p in served} == set(points)
 
 
 def _mod(rows, p):
@@ -395,30 +439,45 @@ def _mod(rows, p):
     return out
 
 
-def test_modulus_switch_matches_runs_mod_each_prime(monkeypatch):
+def _at(rows, a, p):
+    """Each [row][col] coefficient list evaluated at a, mod p, as a constant
+    list ([] for zero)."""
+    return [[[v] if (v := sum(c * a**i for i, c in enumerate(poly)) % p) else [] for poly in row] for row in rows]
+
+
+def test_modulus_switch_matches_runs_mod_each_prime():
     # H_s mod M reduced mod p equals the run mod p for every p | M and s <= 30,
-    # across a switch to M/q at s = 15 for each q | M
+    # across a switch to M/q at s = 15 for each q | M; so do the runs at an
+    # integer point a, of H_s(a), and of e_0 H_s(a) on a companion system
+    # from s = n - 1, where that run starts
     rng = random.Random(12)
     systems = [g for _, g in every_catalog_system()]
     systems += [companion(drawn_operator(rng, (Basis.D, Basis.THETA)[k % 2])) for k in range(4)]
-    for moduli, budget in ((primes_upto(7)[1:], math.inf), (primes_upto(7)[1:], 0), (primes_upto(70), math.inf)):
+    for moduli in (primes_upto(7)[1:], primes_upto(70)):
         m = math.prod(moduli)
         for g in systems:
             sys = cleared_system(g)
-            force_storage(monkeypatch, math.inf)
             want = {}
             for p in moduli:
                 seq = ClearedSequenceMod(sys.t, sys.tg, p)
                 want[p] = [seq.goto(s) for s in range(1, 31)]
-            for q in moduli:
-                force_storage(monkeypatch, budget)
-                seq = ClearedSequenceMod(sys.t, sys.tg, m)
-                for s in range(1, 31):
-                    rows = seq.goto(s)
-                    for p in moduli:
-                        if s <= 15 or p != q:
-                            assert _mod(rows, p) == want[p][s - 1], (g, m, q, p, s)
-                    if s == 15:
-                        seq.reduce_modulus(m // q)
-                        assert seq.goto(15) == _mod(rows, m // q), (g, m, q)
-                assert (seq.block is None) == (budget == math.inf), (g, m)
+            a = next(a for a in range(sys.n + 2) if Poly(sys.t).evaluate(a))
+            runs = [
+                (lambda d: ClearedSequenceMod(sys.t, sys.tg, d), lambda rows, p: rows, 1),
+                (lambda d: PointSequenceMod(sys.t, [sys.tg], a, d), lambda rows, p: _at(rows, a, p), 1),
+            ]
+            if sys.companion_shape:
+                row_equation = [[[c]] for c in sys.tg[-1]]
+                runs.append((lambda d: PointSequenceMod(sys.t, row_equation, a, d),
+                             lambda rows, p: _at(rows[:1], a, p), max(sys.n - 1, 1)))
+            for make, read, first in runs:
+                for q in moduli:
+                    seq = make(m)
+                    for s in range(first, 31):
+                        rows = seq.goto(s)
+                        for p in moduli:
+                            if s <= 15 or p != q:
+                                assert _mod(rows, p) == read(want[p][s - 1], p), (g, m, q, p, s, a)
+                        if s == 15:
+                            seq.reduce_modulus(m // q)
+                            assert seq.goto(15) == _mod(rows, m // q), (g, m, q, a)

@@ -1,9 +1,10 @@
 """The public surface of `gop`: every public module-level name in
-src/gop/*.py is used inside the package, or is one of the few listed below; no module imports a name it never uses; and every name
-the package re-exports is its layer's own object.
+src/gop/*.py is used inside the package, or is one of the few listed below; no module imports a name it never uses; every name
+the package re-exports is its layer's own object; and the package imports nothing outside the standard library.
 Reference implementations that only tests need live in tests/oracles.py."""
 
 import ast
+import sys
 from pathlib import Path
 
 import gop
@@ -134,3 +135,18 @@ def test_growth_is_a_characteristic_zero_layer():
     # growth, never the other way round
     imported = {name if source == "" else source for source, name, _ in _imports(_modules()["growth"])}
     assert not imported & {"modp", "p_curvature", "errors"}, imported
+
+
+def test_only_the_standard_library_is_imported():
+    # gop has no third-party dependency (pyproject.toml: dependencies = [])
+    outside = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside |= {f"{path.stem}: {name}" for name in names if name.split(".")[0] not in sys.stdlib_module_names}
+    assert not outside, f"imports outside the standard library: {outside}"
