@@ -64,7 +64,6 @@ from .diffop import (
     INFINITY,
     RatMat,
     TruncatedSeries,
-    companion,
     is_infinity,
     op_add,
     op_mul,
@@ -250,8 +249,8 @@ def dec15(x) -> str:
     return f"{x:.15g}"
 
 
-def poly_json(p: Poly) -> dict:
-    return {"coeffs": [frac_str(c) for c in p.coeffs], "text": poly_text(p, "x")}
+def poly_json(p: Poly, var: str = "x") -> dict:
+    return {"coeffs": [frac_str(c) for c in p.coeffs], "text": poly_text(p, var)}
 
 
 def exactlog_json(table: dict) -> dict:
@@ -314,7 +313,7 @@ def scan_json(scan: p_curvature.GlobalScan) -> dict:
 
 def trace_json(trace: growth.GalochkinTrace) -> dict:
     return {
-        "T": poly_json(trace.T) | {"text": poly_text(trace.T, "z")},
+        "T": poly_json(trace.T, "z"),
         "s": list(trace.s_values),
         "q": [str(q) for q in trace.q],
         "log_q_over_s": [dec15(x) for x in trace.log_q_over_s],
@@ -422,14 +421,16 @@ def _check_at_most(name: str, value: int, most: int) -> None:
         raise UsageError(f"{name} must be <= {most}, got {value}")
 
 
-def _check_growth_work(flag: str, s: int, g: RatMat) -> None:
-    _check_at_most(f"{flag} times the system dimension {g.n}", g.n * s, GROWTH_NS_MAX)
+def _check_growth_work(flag: str, s: int, subject: RatMat | DiffOp) -> None:
+    n = growth.cleared_system(subject).n
+    _check_at_most(f"{flag} times the system dimension {n}", n * s, GROWTH_NS_MAX)
 
 
-def _check_prime_work(flag: str, p: int, cap: int, g: RatMat) -> None:
-    e = p_curvature.degree_growth(growth.cleared_system(g))
-    weight = f"n^2 e, for the order or dimension n = {g.n} and the degree growth per step e = {e},"
-    _check_at_most(f"{flag} times {weight}", g.n**2 * e * p, ORDER_WEIGHT_MAX * cap)
+def _check_prime_work(flag: str, p: int, cap: int, subject: RatMat | DiffOp) -> None:
+    sys = growth.cleared_system(subject)
+    e, n = p_curvature.degree_growth(sys), sys.n
+    weight = f"n^2 e, for the order or dimension n = {n} and the degree growth per step e = {e},"
+    _check_at_most(f"{flag} times {weight}", n**2 * e * p, ORDER_WEIGHT_MAX * cap)
 
 
 def _catalog_entry(entry_id: Optional[str]) -> catalog.CatalogEntry:
@@ -456,12 +457,12 @@ def _resolve_operator(args) -> tuple[str, DiffOp]:
     raise UsageError("need an operator expression or --catalog ID")
 
 
-def _resolve_system(args) -> tuple[str, RatMat]:
+def _resolve_subject(args) -> tuple[str, RatMat | DiffOp]:
+    """The catalog entry's system, else the operator."""
     if getattr(args, "catalog", None):
         entry = _catalog_entry(args.catalog)
-        return entry.id, companion(entry.operator) if entry.system is None else entry.system
-    label, op = _resolve_operator(args)
-    return label, companion(op)
+        return entry.id, entry.operator if entry.system is None else entry.system
+    return _resolve_operator(args)
 
 
 def _series_integer(value) -> int:
@@ -521,7 +522,7 @@ def _cmd_pcurv(args) -> dict:
     _check_prime(args.prime)
     _check_at_most("--prime", args.prime, PCURV_PRIME_MAX)
     label, op = _resolve_operator(args)
-    _check_prime_work("--prime", args.prime, PCURV_PRIME_MAX, companion(op))
+    _check_prime_work("--prime", args.prime, PCURV_PRIME_MAX, op)
     report = p_curvature.prime_report(op, args.prime)
     return {
         "input": label,
@@ -534,20 +535,15 @@ def _cmd_pcurv(args) -> dict:
 
 def _cmd_scan(args) -> dict:
     primes = _parse_primes(args.primes)
-    if getattr(args, "catalog", None):
-        entry = _catalog_entry(args.catalog)
-        label, subject = entry.id, entry.operator if entry.system is None else entry.system
-    else:
-        label, subject = _resolve_operator(args)
-    g = subject if isinstance(subject, RatMat) else companion(subject)
-    _check_prime_work("the top of --primes", max(primes), SCAN_PRIME_MAX, g)
+    label, subject = _resolve_subject(args)
+    _check_prime_work("the top of --primes", max(primes), SCAN_PRIME_MAX, subject)
     return scan_json(p_curvature.global_scan(subject, primes, subject_id=label))
 
 
 def _cmd_galochkin(args) -> dict:
     _check_at_least("--smax", args.smax, 1)
     _check_at_most("--smax", args.smax, S_MAX)
-    label, g = _resolve_system(args)
+    label, g = _resolve_subject(args)
     _check_growth_work("--smax", args.smax, g)
     trace = growth.galochkin_trace(g, args.smax)
     return {"input": label} | trace_json(trace)
@@ -557,7 +553,7 @@ def _cmd_size(args) -> dict:
     _check_at_least("--s", args.s, 1)
     _check_at_most("--s", args.s, S_MAX)
     _check_at_least("--prime-bound", args.prime_bound, 2)
-    label, g = _resolve_system(args)
+    label, g = _resolve_subject(args)
     _check_growth_work("--s", args.s, g)
     value = growth.size_estimate(g, args.s, args.prime_bound)
     return {
@@ -570,9 +566,9 @@ def _cmd_size(args) -> dict:
 
 def _cmd_radius(args) -> dict:
     _check_prime(args.prime)
-    label, g = _resolve_system(args)
+    label, g = _resolve_subject(args)
     # the Hadamard window starts at the system order
-    _check_at_least("--smax", args.smax, g.n)
+    _check_at_least("--smax", args.smax, growth.cleared_system(g).n)
     _check_at_most("--smax", args.smax, S_MAX)
     _check_growth_work("--smax", args.smax, g)
     value = growth.radius_estimate(g, args.prime, args.smax)
@@ -590,7 +586,7 @@ def _cmd_bombieri(args) -> dict:
     _check_at_least("--prime-bound", args.prime_bound, 2)
     if not math.isfinite(args.slack):
         raise UsageError(f"--slack must be a finite number, got {args.slack}")
-    label, g = _resolve_system(args)
+    label, g = _resolve_subject(args)
     _check_growth_work("--s", args.s, g)
     rep = growth.bombieri_report(g, args.s, args.prime_bound, slack=args.slack)
     return {"input": label} | bombieri_json(rep)
@@ -609,8 +605,8 @@ def _cmd_pade(args) -> dict:
             "input": args.series,
             "N": args.N,
             "M": args.M,
-            "Q": poly_json(q) | {"text": poly_text(q, "z")},
-            "P": [poly_json(p) | {"text": poly_text(p, "z")} for p in ps],
+            "Q": poly_json(q, "z"),
+            "P": [poly_json(p, "z") for p in ps],
             "residual_order": res,
             "siegel": _siegel_json(pade.siegel_bound_report(f, args.N, args.M)),
         }
@@ -624,9 +620,9 @@ def _cmd_pade(args) -> dict:
         "input": entry.id,
         "N": system.big_n,
         "M": system.big_m,
-        "Q": poly_json(system.q) | {"text": poly_text(system.q, "z")},
-        "P": [poly_json(p) | {"text": poly_text(p, "z")} for p in system.p],
-        "T": poly_json(system.t) | {"text": poly_text(system.t, "z")},
+        "Q": poly_json(system.q, "z"),
+        "P": [poly_json(p, "z") for p in system.p],
+        "T": poly_json(system.t, "z"),
         "residual_order": system.residual,
         "tower_degrees": [
             [p.degree for p in vec] for vec in system.tower

@@ -3,24 +3,26 @@
 Operators are immutable coefficient vectors over Q(z) in one of two bases:
 powers of D = d/dz or powers of theta = z*d/dz, with one canonical text
 rendering (operator_text).  An operator keeps the basis it was built in;
-change_basis rewrites it in D, the form every analysis reads through its
-companion matrix, and nothing converts D back to theta.  The module also
-houses square matrices over Q(z) (RatMat, and companion matrices, computed
-once per operator) and truncated power series with explicit order
-bookkeeping.  It holds no series solver, does not apply operators to series
-and does not translate operators to other points: local_analysis reads
-every point, infinity included, off the cleared coefficients of the
-companion system, and power-series solutions come from
-local_analysis.regular_series_solutions.  RatMat has no arithmetic: the
-derived matrices G_s of a system are never formed, and growth reads what it
-needs off the cleared integer recurrence for H_s = T^s G_s.
+change_basis rewrites it in D, and nothing converts D back to theta.
+cleared_operator clears the D form to the integer coefficients every
+analysis reads: local_analysis reads every point, infinity included, off
+them, and growth builds the companion system (T, TG) from them.  The module
+also houses square matrices over Q(z) (RatMat, and companion matrices, which
+only the tests build, as a reference) and truncated power series with
+explicit order bookkeeping.  It holds no series solver, does not apply
+operators to series and does not translate operators to other points;
+power-series solutions come from local_analysis.regular_series_solutions.
+RatMat has no arithmetic: the derived matrices G_s of a system are never
+formed, and growth reads what it needs off the cleared integer recurrence
+for H_s = T^s G_s.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from .exact_arith import (
@@ -28,6 +30,8 @@ from .exact_arith import (
     RatFn,
     as_fraction,
     as_ratfn,
+    poly_gcd,
+    poly_lcm,
     ratfn_text,
 )
 
@@ -221,6 +225,24 @@ def change_basis(l: DiffOp) -> DiffOp:
     return DiffOp(Basis.D, out)
 
 
+@lru_cache(maxsize=None)
+def cleared_operator(l: DiffOp) -> tuple[tuple[int, ...], ...]:
+    """(b_0, ..., b_n), each b_j a tuple of integer coefficients: the D form
+    of l cleared to the primitive integer vector whose b_n has a positive
+    leading coefficient.  That vector is unique, so it is also the one the
+    cleared system (T, TG) of companion(l) gives, with b_n = T and
+    b_j = -(TG)[n-1][j]."""
+    cs = change_basis(l).coeffs
+    den = reduce(poly_lcm, (c.den for c in cs))
+    b = [c.num * den.exact_div(c.den) for c in cs]
+    g = reduce(poly_gcd, b)
+    b = [p.exact_div(g) for p in b]
+    d = math.lcm(*(p.den for p in b))
+    ints = [[c * (d // p.den) for c in p.nums] for p in b]
+    content = math.gcd(*(c for row in ints for c in row)) * (1 if ints[-1][-1] > 0 else -1)
+    return tuple(tuple(c // content for c in row) for row in ints)
+
+
 # ---------------------------------------------------------------------------
 # matrices over Q(z)
 
@@ -257,7 +279,7 @@ class RatMat:
 @lru_cache(maxsize=None)
 def companion(l: DiffOp) -> RatMat:
     """Companion matrix of the monic D-basis form: superdiagonal ones, last
-    row (-a_n, ..., -a_1)."""
+    row (-a_n, ..., -a_1).  The tests check cleared_operator against it."""
     ld = change_basis(l).monic()
     n = ld.order
     if n < 1:

@@ -1,4 +1,5 @@
-"""Denominator growth and p-adic size/radius estimates for systems y' = Gy.
+"""Denominator growth and p-adic size/radius estimates for systems y' = Gy,
+an operator read as its companion system.
 
 The whole module works off the denominator-cleared sequence H_s = T^s G_s,
 which satisfies the polynomial recurrence
@@ -25,7 +26,7 @@ _step is Z-linear and maps each row e_r H_s to e_r H_(s+1), so a row c K
 with K primitive steps to c _step(K): each row is stepped as its primitive
 part, the content of a row at s divides its content at s+1, and c_s is the
 gcd of the row contents.  When G has companion shape (rows 0..n-2 of TG are
-T e_1, ..., T e_(n-1), as for every companion(L)), e_i G_s = e_0 G_(s+i), so
+T e_1, ..., T e_(n-1), as for every operator), e_i G_s = e_0 G_(s+i), so
 T^i e_i H_s = e_0 H_(s+i) and, by Gauss's lemma,
 content(e_i H_s) = content(e_0 H_(s+i)) / content(T)^i: only the row e_0 is
 stepped, and c_s is read off it at s, ..., s+n-1.  p_curvature reads the
@@ -45,7 +46,7 @@ from fractions import Fraction
 from itertools import compress, count
 from typing import NamedTuple
 
-from .diffop import RatMat
+from .diffop import DiffOp, RatMat, cleared_operator
 from .exact_arith import Poly, as_ratfn, poly_lcm, primes_upto, vp_int
 
 
@@ -176,29 +177,38 @@ def _step(h, s: int, t, tg, m: int | None = None):
     return out
 
 
-_SYSTEMS: dict[RatMat, _IntSystem] = {}
+_SYSTEMS: dict[RatMat | DiffOp, _IntSystem] = {}
 
 
-def cleared_system(g: RatMat) -> _IntSystem:
-    """Cached integer cleared form of G with lazy H_s extension.
+def cleared_system(subject: RatMat | DiffOp) -> _IntSystem:
+    """Cached integer cleared form of a system G, or of an operator's
+    companion system, with lazy H_s extension.
 
+    An operator's b_0..b_n (diffop.cleared_operator) give T = b_n, rows
+    T e_1, ..., T e_(n-1) and last row (-b_0, ..., -b_(n-1)).  For G,
     T = d*T0 with T0 the monic common denominator and d the lcm of the
     denominators of T0 and of the entries of T0*G: the least integer making
     both T and TG = d*(T0*G) integral, read off their numerators."""
-    sys = _SYSTEMS.get(g)
+    sys = _SYSTEMS.get(subject)
     if sys is None:
-        t0 = Poly.ONE  # monic lcm of the entry denominators
-        for row in g.entries:
-            for e in row:
-                t0 = poly_lcm(t0, e.den)
-        t0g = [[(as_ratfn(t0) * e).as_poly() for e in row] for row in g.entries]
-        d = math.lcm(t0.den, *(poly.den for row in t0g for poly in row))
-        # t0 is monic, so d is exactly the minimal integer scale; T has
-        # positive leading coefficient d
-        t = [c * (d // t0.den) for c in t0.nums]
-        tg = [[[c * (d // p.den) for c in p.nums] for p in row] for row in t0g]
-        sys = _IntSystem(n=g.n, t=t, tg=tg)
-        _SYSTEMS[g] = sys
+        if isinstance(subject, DiffOp):
+            *b, t = (list(c) for c in cleared_operator(subject))
+            n = len(b)
+            tg = [[list(t) if j == i + 1 else [] for j in range(n)] for i in range(n - 1)]
+            tg.append([[-c for c in bj] for bj in b])
+        else:
+            t0 = Poly.ONE  # monic lcm of the entry denominators
+            for row in subject.entries:
+                for e in row:
+                    t0 = poly_lcm(t0, e.den)
+            t0g = [[(as_ratfn(t0) * e).as_poly() for e in row] for row in subject.entries]
+            d = math.lcm(t0.den, *(poly.den for row in t0g for poly in row))
+            # t0 is monic, so d is exactly the minimal integer scale; T has
+            # positive leading coefficient d
+            n, t = subject.n, [c * (d // t0.den) for c in t0.nums]
+            tg = [[[c * (d // p.den) for c in p.nums] for p in row] for row in t0g]
+        sys = _IntSystem(n=n, t=t, tg=tg)
+        _SYSTEMS[subject] = sys
     return sys
 
 
@@ -213,7 +223,7 @@ class GalochkinTrace(NamedTuple):
     log_q_over_s: tuple[float, ...]
 
 
-def galochkin_trace(g: RatMat, s_max: int) -> GalochkinTrace:
+def galochkin_trace(g: RatMat | DiffOp, s_max: int) -> GalochkinTrace:
     """q_s = smallest positive integer clearing every coefficient of
     T^m G_m / m! for m <= s; exact integers, incremental lcm."""
     if s_max < 1:
@@ -235,13 +245,13 @@ def log_value(table: dict) -> float:
     return sum(float(e) * math.log(p) for p, e in table.items())
 
 
-def h_s_p(g: RatMat, s: int, p: int) -> int:
+def h_s_p(g: RatMat | DiffOp, s: int, p: int) -> int:
     """sup over m <= s of log+ |H_m/m!| at p, as the exponent of log p:
     max(0, max_m (v_p(m!) - v_p(c_m))) = v_p(q_s)."""
     return vp_int(cleared_system(g).q(s), p)
 
 
-def size_estimate(g: RatMat, s: int, prime_bound: int) -> dict:
+def size_estimate(g: RatMat | DiffOp, s: int, prime_bound: int) -> dict:
     """Finite truncation of the size, (1/s) * sum over p <= bound of h(s, p),
     as the table {p: h(s, p)/s} of its nonzero terms.
 
@@ -253,7 +263,7 @@ def size_estimate(g: RatMat, s: int, prime_bound: int) -> dict:
     return {p: Fraction(e, s) for p in primes_upto(min(s, prime_bound)) if (e := h_s_p(g, s, p))}
 
 
-def radius_estimate(g: RatMat, p: int, s_max: int, s_min: int | None = None) -> Fraction:
+def radius_estimate(g: RatMat | DiffOp, p: int, s_max: int, s_min: int | None = None) -> Fraction:
     """Truncated Hadamard estimate of the inverse generic radius at p:
     log+ (1/R_hat) with R_hat = min over the window of |H_s/s!|^(-1/s), that
     is log p times the window maximum of v_p(r_s)/s, which is returned.
@@ -283,7 +293,7 @@ class SizeRadiusReport(NamedTuple):
 
 
 def bombieri_report(
-    g: RatMat, s: int, prime_bound: int, slack: float = 0.3
+    g: RatMat | DiffOp, s: int, prime_bound: int, slack: float = 0.3
 ) -> SizeRadiusReport:
     """Truncated two-sided comparison of size and inverse-radius sums:
     checks rho_hat <= sigma_hat + slack and sigma_hat <= rho_hat + (n-1) + slack.

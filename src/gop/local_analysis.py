@@ -1,8 +1,9 @@
 """Singularity classification and local exponent data.
 
 Every point is read off one form of the operator, L = sum_j b_j D^j with
-b_0..b_n the primitive integer coefficients of the cleared companion system
-(b_n = T, b_j = -(TG)[n-1][j]), by one Frobenius rule (Fuchs' criterion and
+b_0..b_n its primitive integer coefficients (diffop.cleared_operator, the
+form growth.cleared_system also builds L's companion system from:
+b_n = T, b_j = -(TG)[n-1][j]), by one Frobenius rule (Fuchs' criterion and
 the indicial equation, Ince, Ordinary Differential Equations, ch. XV-XVI):
 L applied to the local power u^y is led by the terms of least order in u.
 The point is regular singular exactly when the j = n term is among them,
@@ -23,14 +24,12 @@ Every pole profile lists (j, ord b_n - ord b_{n-j}) in ascending j.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import reduce
 from typing import NamedTuple, Optional
 
-from .diffop import DiffOp, INFINITY, change_basis, is_infinity
+from .diffop import DiffOp, INFINITY, cleared_operator, is_infinity
 from .errors import IrregularPoint, UsageError
-from .exact_arith import Poly, as_fraction, falling_factorial_poly, poly_det, poly_gcd, poly_lcm
+from .exact_arith import Poly, as_fraction, falling_factorial_poly, poly_det, poly_gcd
 
 
 class SingularPoint(NamedTuple):
@@ -65,18 +64,8 @@ class OperatorProfile(NamedTuple):
 
 
 def _cleared_coeffs(l: DiffOp) -> list[Poly]:
-    """[b_0, ..., b_n]: the D form of L cleared to the primitive integer
-    vector whose b_n has a positive leading coefficient.  That vector is
-    unique, so it is also the one the cleared system (T, TG) of companion(L)
-    gives, with b_n = T and b_j = -(TG)[n-1][j]."""
-    cs = change_basis(l).coeffs
-    den = reduce(poly_lcm, (c.den for c in cs))
-    b = [c.num * den.exact_div(c.den) for c in cs]
-    g = reduce(poly_gcd, b)
-    b = [p.exact_div(g) for p in b]
-    d = math.lcm(*(p.den for p in b))
-    scale = Fraction(d, math.gcd(*(c * (d // p.den) for p in b for c in p.nums)))
-    return [p * (scale if b[-1].nums[-1] > 0 else -scale) for p in b]
+    """[b_0, ..., b_n] of diffop.cleared_operator, as Polys."""
+    return [Poly(b) for b in cleared_operator(l)]
 
 
 # ---------------------------------------------------------------------------

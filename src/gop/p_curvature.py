@@ -61,7 +61,7 @@ import math
 from itertools import count, islice
 from typing import NamedTuple, Optional, Sequence
 
-from .diffop import DiffOp, RatMat, companion
+from .diffop import DiffOp, RatMat
 from .errors import BadPrime
 from .exact_arith import Poly
 from .growth import _IntSystem, cleared_system
@@ -81,9 +81,9 @@ def _bad_prime(p: int) -> BadPrime:
     return BadPrime(p, "entry with negative Gauss valuation")
 
 
-def _good_cleared_system(g: RatMat, p: int) -> _IntSystem:
-    """cleared_system(g), or BadPrime when G does not reduce mod p."""
-    sys = cleared_system(g)
+def _good_cleared_system(subject: RatMat | DiffOp, p: int) -> _IntSystem:
+    """cleared_system(subject), or BadPrime when it does not reduce mod p."""
+    sys = cleared_system(subject)
     if _is_bad(sys, p):
         raise _bad_prime(p)
     return sys
@@ -113,20 +113,18 @@ def is_nilpotent(m: FpMat) -> tuple[bool, Optional[int]]:
 def operator_nilpotence_by_division(l: DiffOp, p: int) -> bool:
     """True iff D^(p*ord L) is right-divisible by the reduction of L mod p.
 
-    With L cleared to the primitive integer vector c_0..c_n, the remainder
-    R_k of c_n^k D^k modulo L steps as
+    With L cleared to the primitive integer vector b_0..b_n, the remainder
+    R_k of b_n^k D^k modulo L steps as
 
-        R_{k+1} = c_n shift(R_k) + c_n R_k' - k c_n' R_k - top(R_k) (c_0..c_{n-1}),
+        R_{k+1} = b_n shift(R_k) + b_n R_k' - k b_n' R_k - top(R_k) (b_0..b_{n-1}),
 
-    which is the cleared recurrence for T = c_n, TG = c_n * companion(L),
-    started from the row e_0 at k = 0.  Up to one common sign, which only
-    flips R_k by (-1)^k, that (T, TG) is the cleared system of companion(L).
-    Since c_n is nonzero mod p at a good prime (the check p_curvature makes),
-    L divides D^(pn) iff R_{pn} = 0 mod p."""
-    g = companion(l)
-    sys = _good_cleared_system(g, p)
-    start = [[[1]] + [[] for _ in range(g.n - 1)]]
-    rows = ClearedSequenceMod(sys.t, sys.tg, p, start=start, s=0).goto(p * g.n)
+    which is the cleared recurrence of cleared_system(L), T = b_n and last
+    row of TG -(b_0..b_{n-1}), started from the row e_0 at k = 0.  Since b_n
+    is nonzero mod p at a good prime (the check p_curvature makes), L
+    divides D^(pn) iff R_{pn} = 0 mod p."""
+    sys = _good_cleared_system(l, p)
+    start = [[[1]] + [[] for _ in range(sys.n - 1)]]
+    rows = ClearedSequenceMod(sys.t, sys.tg, p, start=start, s=0).goto(p * sys.n)
     return not any(c for row in rows for c in row)
 
 
@@ -202,7 +200,7 @@ def _reports(subject, primes: Sequence[int]) -> list[PCurvatureReport]:
     a system and of the row e_0 of the companion system for an operator L,
     read at p, ..., p+n-1 for the matrix test and from p·n on for division."""
     operator = isinstance(subject, DiffOp)
-    sys = cleared_system(companion(subject) if operator else subject)
+    sys = cleared_system(subject)
     n = len(sys.tg)
     good = sorted({p for p in primes if not _is_bad(sys, p)})
     identity = [[[1] if i == j else [] for j in range(n)] for i in range(n)]

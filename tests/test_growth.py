@@ -2,14 +2,15 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from gop import growth
-from gop.catalog import polylog_operator, polylog_system
-from gop.cli import parse_operator
-from gop.diffop import Basis, RatMat, companion
+from gop.catalog import CATALOG, polylog_operator, polylog_system
+from gop.cli import parse_operator, run_command
+from gop.diffop import Basis, RatMat, cleared_operator, companion
 from gop.exact_arith import Poly, RatFn, gauss_valuation, primes_upto, vp_int
 from gop.growth import (
     bombieri_report,
@@ -54,6 +55,44 @@ def _definition_systems():
         basis = (Basis.D, Basis.THETA)[k % 2]
         out.append((f"drawn:{basis.value}:{k}", companion(drawn_operator(rng, basis))))
     return out
+
+
+def test_operator_clears_to_its_companion_system():
+    # L's cleared coefficients b_0..b_n are the cleared system of
+    # companion(L): T = b_n and the last row of TG is -(b_0, ..., b_(n-1)),
+    # so cleared_system reads an operator without building its companion
+    rng = random.Random(30)
+    ops = [entry.operator for entry in CATALOG.values()]
+    ops += [drawn_operator(rng, (Basis.D, Basis.THETA)[k % 2]) for k in range(16)]
+    ops += [parse_operator(text) for text in ("D^2", "(3*z-1)^2*D^3 + z*D + 5/7", "2*D - 1", "(1/2)*D - 1")]
+    for l in ops:
+        direct, reference = cleared_system(l), cleared_system(companion(l))
+        assert (direct.n, direct.t, direct.tg) == (reference.n, reference.t, reference.tg), l
+        last = tuple(tuple(-c for c in b) for b in direct.tg[direct.n - 1])
+        assert cleared_operator(l) == last + (tuple(direct.t),), l
+
+
+@pytest.mark.parametrize("operand", [["--catalog", "gauss2f1"], ["z*(z-1)*D^2 + (3*z-1)*D + 1"]])
+def test_no_command_builds_a_companion_matrix(monkeypatch, operand):
+    def refuse(l):
+        raise AssertionError(f"companion({l!r}) built")
+
+    # in every gop module that binds diffop.companion, loading the lazy layers
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gop" and vars(module).get("companion") is companion:
+            monkeypatch.setattr(module, "companion", refuse)
+    for command, flags in [
+        ("classify", []),
+        ("exponents", ["--point", "0"]),
+        ("pcurv", ["--prime", "5"]),
+        ("scan", ["--primes", "2..30"]),
+        ("galochkin", ["--smax", "20"]),
+        ("size", ["--s", "20", "--prime-bound", "20"]),
+        ("radius", ["--prime", "2", "--smax", "20"]),
+        ("bombieri", ["--s", "20", "--prime-bound", "20"]),
+    ]:
+        code, envelope = run_command([command, *operand, *flags])
+        assert code == 0, (command, envelope)
 
 
 def test_minimal_T_examples():

@@ -1,20 +1,19 @@
 """The public surface of `gop`: every public module-level name in
-src/gop/*.py is used inside the package, or is one of the few listed below; no module imports a name it never uses; every name
-the package re-exports is its layer's own object; and the package imports nothing outside the standard library.
+src/gop/*.py is used inside the package, or is one of the few listed below; no module imports a name it never uses;
+and the package imports nothing outside the standard library.
 Reference implementations that only tests need live in tests/oracles.py."""
 
 import ast
 import sys
 from pathlib import Path
 
-import gop
-
 SRC = Path(__file__).resolve().parent.parent / "src" / "gop"
 
 # public names no other code in src reaches, kept because each is an object
-# of the paper that the tests check the scan against, and that bench/spans.py
-# traces from outside the package
+# of the paper that the tests check the commands against, and that
+# bench/spans.py traces from outside the package
 PAPER_IDENTITIES = {
+    "companion": "the companion matrix of L over Q(z), the independent reference for diffop.cleared_operator",
     "p_curvature": "H_p = T^p G_p mod p at one prime, on its own modulus",
     "operator_nilpotence_by_division": "L right-divides D^(pn) mod p iff the p-curvature of L is nilpotent",
     "reduce_ratfn_mod_p": "reduction of Q(z) to F_p(z) by the Gauss valuation, the paper's good-prime rule",
@@ -117,16 +116,6 @@ def test_no_unused_imports():
             if bound not in used:
                 unused.append(f"{module}: {bound}")
     assert not unused, f"imports never used: {unused}"
-
-
-def test_reexports_are_the_layers_own_objects():
-    # gop resolves each name of its re-export table on first access; a name
-    # that shadowed a layer would hide that layer from `from . import layer`
-    assert not set(gop._EXPORTS) & {name for names in gop._EXPORTS.values() for name in names}
-    for layer, names in gop._EXPORTS.items():
-        module = getattr(gop, layer)
-        for name in names:
-            assert getattr(gop, name) is getattr(module, name), f"{layer}.{name}"
 
 
 def test_growth_is_a_characteristic_zero_layer():
